@@ -381,13 +381,20 @@ const SlotLpInstance& IncrementalSlotLp::build(
 
   // Rewire the per-batch views: the batch order can shift even when no
   // entry changed (the waiting queue is re-sorted by density every slot).
+  // Each entry's candidate list is the prefix of its cached sorted list
+  // that this slot's count admits, which is what candidate_stations()
+  // returns for the same request and waiting time.
   inst_.request_columns.assign(requests.size(), {});
+  inst_.request_candidates.resize(requests.size());
   for (std::size_t b = 0; b < entries_.size(); ++b) {
     inst_.request_columns[b] = entries_[b].columns;
     for (int col : entries_[b].columns) {
       inst_.vars[static_cast<std::size_t>(col)].request_index =
           static_cast<int>(b);
     }
+    const auto& cands = candidate_cache_.find(requests[b].id)->second;
+    inst_.request_candidates[b].assign(
+        cands.begin() + 1, cands.begin() + 1 + entries_[b].candidate_count);
   }
 
   if (mutated) {

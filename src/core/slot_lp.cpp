@@ -2,35 +2,76 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <string>
 
 #include "obs/catalog.h"
 
 namespace mecar::core {
 
+namespace {
+
+/// The strict (latency, id) order of candidate lists.
+bool nearer(const CandidateStation& a, const CandidateStation& b) {
+  if (a.latency_ms != b.latency_ms) return a.latency_ms < b.latency_ms;
+  return a.station < b.station;
+}
+
+/// Calls `row(bs, cols)` once per station that has columns, stations
+/// ascending, with `cols` that station's column ids in ascending order: a
+/// per-station capacity row reads only its own columns, not all of them.
+template <typename RowFn>
+void for_each_station_columns(const std::vector<SlotVar>& vars, RowFn row) {
+  std::vector<int> order(vars.size());
+  std::iota(order.begin(), order.end(), 0);
+  const auto station_of = [&](int col) {
+    return vars[static_cast<std::size_t>(col)].station;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return station_of(a) < station_of(b); });
+  for (std::size_t first = 0; first < order.size();) {
+    const int bs = station_of(order[first]);
+    std::size_t last = first + 1;
+    while (last < order.size() && station_of(order[last]) == bs) ++last;
+    row(bs, std::span<const int>(order.data() + first, last - first));
+    first = last;
+  }
+}
+
+}  // namespace
+
 std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,
                                                  double waiting_ms) {
-  std::vector<CandidateStation> feasible;
-  for (int bs = 0; bs < topo.num_stations(); ++bs) {
-    const double lat = mec::placement_latency_ms(topo, req, bs);
-    if (waiting_ms + lat <= req.latency_budget_ms) {
-      feasible.push_back(CandidateStation{bs, lat});
+  const std::span<const double> delay = topo.delays_from(req.home_station);
+  const std::vector<mec::BaseStation>& stations = topo.stations();
+  const double weight = req.total_proc_weight();
+  const std::size_t limit =
+      params.max_candidate_stations > 0
+          ? static_cast<std::size_t>(params.max_candidate_stations)
+          : stations.size();
+  // A max-heap under nearer(): its front is the worst station kept so far,
+  // and a scanned station enters only when it beats that one.
+  std::vector<CandidateStation> kept;
+  kept.reserve(std::min(limit, stations.size()));
+  for (std::size_t bs = 0; bs < stations.size(); ++bs) {
+    const double lat = mec::placement_latency_ms(
+        delay[bs], weight, stations[bs].proc_ms_per_unit);
+    if (!(waiting_ms + lat <= req.latency_budget_ms)) continue;
+    const CandidateStation cand{static_cast<int>(bs), lat};
+    if (kept.size() < limit) {
+      kept.push_back(cand);
+      std::push_heap(kept.begin(), kept.end(), nearer);
+    } else if (nearer(cand, kept.front())) {
+      std::pop_heap(kept.begin(), kept.end(), nearer);
+      kept.back() = cand;
+      std::push_heap(kept.begin(), kept.end(), nearer);
     }
   }
-  std::sort(feasible.begin(), feasible.end(),
-            [](const CandidateStation& a, const CandidateStation& b) {
-              if (a.latency_ms != b.latency_ms) {
-                return a.latency_ms < b.latency_ms;
-              }
-              return a.station < b.station;
-            });
-  if (params.max_candidate_stations > 0 &&
-      static_cast<int>(feasible.size()) > params.max_candidate_stations) {
-    feasible.resize(static_cast<std::size_t>(params.max_candidate_stations));
-  }
-  return feasible;
+  std::sort_heap(kept.begin(), kept.end(), nearer);
+  return kept;
 }
 
 SlotLpInstance build_slot_lp(const mec::Topology& topo,
@@ -68,14 +109,16 @@ SlotLpInstance build_slot_lp(const mec::Topology& topo,
                std::floor(station_capacity(bs) / params.slot_capacity_mhz)));
   }
   inst.request_columns.resize(requests.size());
+  inst.request_candidates.resize(requests.size());
 
   // Columns y_jil with ER_jil objective. The candidate list carries the
   // placement latency it computed for the feasibility filter, so each
   // (request, station) latency is evaluated exactly once.
   for (std::size_t j = 0; j < requests.size(); ++j) {
     const mec::ARRequest& req = requests[j];
-    for (const CandidateStation& cand :
-         candidate_stations(topo, req, params, waiting_of(j))) {
+    inst.request_candidates[j] =
+        candidate_stations(topo, req, params, waiting_of(j));
+    for (const CandidateStation& cand : inst.request_candidates[j]) {
       const int bs = cand.station;
       const double latency = cand.latency_ms;
       const int L = inst.slots_per_station[static_cast<std::size_t>(bs)];
@@ -112,32 +155,33 @@ SlotLpInstance build_slot_lp(const mec::Topology& topo,
                               lp::Sense::kLe, 1.0, std::move(terms));
   }
 
-  // (10)/(23): slot-prefix capacity rows per (station, l), l = 1..L.
-  for (int bs = 0; bs < num_stations; ++bs) {
-    const int L = inst.slots_per_station[static_cast<std::size_t>(bs)];
-    for (int l = 1; l <= L; ++l) {
-      const double rate_cap = l * params.slot_capacity_mhz / params.c_unit;
-      std::vector<lp::Term> terms;
-      for (std::size_t col = 0; col < inst.vars.size(); ++col) {
-        const SlotVar& var = inst.vars[col];
-        if (var.station != bs || var.slot >= l) continue;
-        double cap = rate_cap;
-        if (options.share_cap_mhz) {
-          cap = std::min(cap, *options.share_cap_mhz / params.c_unit);
+  // (10)/(23): slot-prefix capacity rows per (station, l), l = 1..L. A
+  // station without columns has no row.
+  for_each_station_columns(
+      inst.vars, [&](int bs, std::span<const int> cols) {
+        const int L = inst.slots_per_station[static_cast<std::size_t>(bs)];
+        for (int l = 1; l <= L; ++l) {
+          const double rate_cap =
+              l * params.slot_capacity_mhz / params.c_unit;
+          double cap = rate_cap;
+          if (options.share_cap_mhz) {
+            cap = std::min(cap, *options.share_cap_mhz / params.c_unit);
+          }
+          std::vector<lp::Term> terms;
+          for (int col : cols) {
+            const SlotVar& var = inst.vars[static_cast<std::size_t>(col)];
+            if (var.slot >= l) continue;
+            const double truncated =
+                requests[static_cast<std::size_t>(var.request_index)]
+                    .demand.expected_truncated_rate(cap);
+            if (truncated > 0.0) terms.push_back(lp::Term{col, truncated});
+          }
+          if (terms.empty()) continue;
+          inst.model.add_constraint(
+              "slots_" + std::to_string(bs) + "_" + std::to_string(l),
+              lp::Sense::kLe, 2.0 * rate_cap, std::move(terms));
         }
-        const double truncated =
-            requests[static_cast<std::size_t>(var.request_index)]
-                .demand.expected_truncated_rate(cap);
-        if (truncated > 0.0) {
-          terms.push_back(lp::Term{static_cast<int>(col), truncated});
-        }
-      }
-      if (terms.empty()) continue;
-      inst.model.add_constraint(
-          "slots_" + std::to_string(bs) + "_" + std::to_string(l),
-          lp::Sense::kLe, 2.0 * rate_cap, std::move(terms));
-    }
-  }
+      });
 
   return inst;
 }
@@ -149,10 +193,12 @@ SlotLpInstance build_ilp_rm(const mec::Topology& topo,
   const int num_stations = topo.num_stations();
   inst.slots_per_station.assign(static_cast<std::size_t>(num_stations), 1);
   inst.request_columns.resize(requests.size());
+  inst.request_candidates.resize(requests.size());
 
   for (std::size_t j = 0; j < requests.size(); ++j) {
     const mec::ARRequest& req = requests[j];
-    for (const CandidateStation& cand : candidate_stations(topo, req, params)) {
+    inst.request_candidates[j] = candidate_stations(topo, req, params);
+    for (const CandidateStation& cand : inst.request_candidates[j]) {
       const int bs = cand.station;
       const double latency = cand.latency_ms;
       // Expected reward restricted to rates the station can hold at all
@@ -179,22 +225,24 @@ SlotLpInstance build_ilp_rm(const mec::Topology& topo,
                               lp::Sense::kLe, 1.0, std::move(terms));
   }
 
-  // (4): expected-demand capacity per station.
-  for (int bs = 0; bs < num_stations; ++bs) {
-    std::vector<lp::Term> terms;
-    for (std::size_t col = 0; col < inst.vars.size(); ++col) {
-      const SlotVar& var = inst.vars[col];
-      if (var.station != bs) continue;
-      const double demand =
-          requests[static_cast<std::size_t>(var.request_index)]
-              .demand.expected_rate() *
-          params.c_unit;
-      terms.push_back(lp::Term{static_cast<int>(col), demand});
-    }
-    if (terms.empty()) continue;
-    inst.model.add_constraint("cap_" + std::to_string(bs), lp::Sense::kLe,
-                              topo.station(bs).capacity_mhz, std::move(terms));
-  }
+  // (4): expected-demand capacity per station that has columns.
+  for_each_station_columns(
+      inst.vars, [&](int bs, std::span<const int> cols) {
+        std::vector<lp::Term> terms;
+        terms.reserve(cols.size());
+        for (int col : cols) {
+          const SlotVar& var = inst.vars[static_cast<std::size_t>(col)];
+          const double demand =
+              requests[static_cast<std::size_t>(var.request_index)]
+                  .demand.expected_rate() *
+              params.c_unit;
+          terms.push_back(lp::Term{col, demand});
+        }
+        inst.model.add_constraint("cap_" + std::to_string(bs),
+                                  lp::Sense::kLe,
+                                  topo.station(bs).capacity_mhz,
+                                  std::move(terms));
+      });
 
   return inst;
 }

@@ -25,6 +25,15 @@
 
 namespace mecar::core {
 
+/// One feasible placement for a request, with the placement latency that
+/// proved it feasible. Returning the latency alongside the station id lets
+/// callers (the LP builders, the rounding passes, every baseline) reuse it
+/// instead of recomputing placement_latency_ms per (request, station).
+struct CandidateStation {
+  int station = 0;
+  double latency_ms = 0.0;
+};
+
 /// Metadata of one LP column y_jil (or ILP column x_ji with slot = 0).
 struct SlotVar {
   int request_index = 0;  // index into the requests vector
@@ -41,6 +50,10 @@ struct SlotLpInstance {
   lp::Model model;
   std::vector<SlotVar> vars;               // per model column
   std::vector<std::vector<int>> request_columns;  // request -> column ids
+  /// request -> its candidate_stations() list at the request's waiting
+  /// time. The columns are drawn from it, and DynamicRR's greedy fallback
+  /// reads it instead of scanning the stations a second time.
+  std::vector<std::vector<CandidateStation>> request_candidates;
   /// Number of resource slots per station.
   std::vector<int> slots_per_station;
 };
@@ -74,18 +87,12 @@ SlotLpInstance build_ilp_rm(const mec::Topology& topo,
                             const std::vector<mec::ARRequest>& requests,
                             const AlgorithmParams& params);
 
-/// One feasible placement for a request, with the placement latency that
-/// proved it feasible. Returning the latency alongside the station id lets
-/// callers (the LP builders, the rounding passes, every baseline) reuse it
-/// instead of recomputing placement_latency_ms per (request, station).
-struct CandidateStation {
-  int station = 0;
-  double latency_ms = 0.0;
-};
-
-/// Candidate stations for a request: all stations whose placement latency
-/// (plus `waiting_ms`) meets the budget, nearest-latency first, truncated to
-/// `params.max_candidate_stations` when positive.
+/// Candidate stations for a request: the stations whose placement latency
+/// (plus `waiting_ms`) meets the budget, in (latency, id) order. When
+/// `params.max_candidate_stations` is positive only that many nearest are
+/// kept: an exact top-k chosen during one scan over the home station's
+/// delay row, so the cost is O(|BS| log k) rather than a sort of every
+/// feasible station. Throws std::out_of_range on a bad home station.
 std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,

@@ -277,6 +277,13 @@ ScenarioSpec read_scenario(std::istream& is) {
       want_args(2);
       spec.rr.threshold_min_mhz = double_arg(0, "threshold min");
       spec.rr.threshold_max_mhz = double_arg(1, "threshold max");
+      if (!std::isfinite(spec.rr.threshold_min_mhz) ||
+          !std::isfinite(spec.rr.threshold_max_mhz)) {
+        throw fail("threshold range must be finite");
+      }
+      if (spec.rr.threshold_min_mhz <= 0.0) {
+        throw fail("threshold min must be > 0");
+      }
     } else if (key == "kappa") {
       want_args(1);
       spec.rr.kappa = int_arg(0, "kappa");

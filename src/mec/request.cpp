@@ -1,6 +1,8 @@
 #include "mec/request.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace mecar::mec {
@@ -66,10 +68,27 @@ double ARRequest::total_proc_weight() const noexcept {
 
 double placement_latency_ms(const Topology& topo, const ARRequest& req,
                             int bs) {
-  const double trans = topo.transmission_delay_ms(req.home_station, bs);
-  const double proc =
-      req.total_proc_weight() * topo.station(bs).proc_ms_per_unit;
-  return 2.0 * trans + proc;
+  return placement_latency_ms(topo.transmission_delay_ms(req.home_station, bs),
+                              req.total_proc_weight(),
+                              topo.station(bs).proc_ms_per_unit);
+}
+
+double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
+                                std::span<const char> station_up) {
+  const std::span<const double> delay = topo.delays_from(req.home_station);
+  const std::vector<BaseStation>& stations = topo.stations();
+  if (!station_up.empty() && station_up.size() != stations.size()) {
+    throw std::invalid_argument(
+        "min_placement_latency_ms: station_up size mismatch");
+  }
+  const double weight = req.total_proc_weight();
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t bs = 0; bs < stations.size(); ++bs) {
+    if (!station_up.empty() && station_up[bs] == 0) continue;
+    best = std::min(best, placement_latency_ms(delay[bs], weight,
+                                               stations[bs].proc_ms_per_unit));
+  }
+  return best;
 }
 
 double split_placement_latency_ms(const Topology& topo, const ARRequest& req,

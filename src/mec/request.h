@@ -2,6 +2,7 @@
 // (data rate, reward) distribution of section III-B/C.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,24 @@ struct ARRequest {
 /// waiting term). +infinity when the backhaul is disconnected.
 double placement_latency_ms(const Topology& topo, const ARRequest& req,
                             int bs);
+
+/// The expression behind placement_latency_ms, from its parts: the
+/// home-to-station transmission delay, the pipeline's total processing
+/// weight and the station's per-unit processing delay. Per-station scans
+/// that hoist the delay row and the weight out of their loop use it, so
+/// every latency they compute keeps the bits of placement_latency_ms.
+inline double placement_latency_ms(double trans_ms, double proc_weight,
+                                   double proc_ms_per_unit) noexcept {
+  return 2.0 * trans_ms + proc_weight * proc_ms_per_unit;
+}
+
+/// Smallest placement_latency_ms(topo, req, bs) over the stations whose
+/// `station_up` entry is nonzero (every station when `station_up` is
+/// empty); +infinity when none qualifies. Throws std::out_of_range on a bad
+/// home station and std::invalid_argument when a non-empty mask does not
+/// have one entry per station.
+double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
+                                std::span<const char> station_up = {});
 
 /// Latency of `req` when its tasks are split across stations: each task k
 /// at stations[k]; consecutive tasks at different stations pay the 2x

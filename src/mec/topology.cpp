@@ -106,6 +106,14 @@ double Topology::transmission_delay_ms(int from, int to) const {
                static_cast<std::size_t>(to)];
 }
 
+std::span<const double> Topology::delays_from(int from) const {
+  if (from < 0 || from >= num_stations()) {
+    throw std::out_of_range("Topology::delays_from: bad station id");
+  }
+  const auto n = static_cast<std::size_t>(num_stations());
+  return {dist_.data() + static_cast<std::size_t>(from) * n, n};
+}
+
 bool Topology::connected() const noexcept {
   const auto n = static_cast<std::size_t>(num_stations());
   for (std::size_t j = 0; j < n; ++j) {

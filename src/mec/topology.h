@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -61,6 +62,12 @@ class Topology {
   /// Shortest transmission delay between two stations (0 when equal);
   /// +infinity when disconnected.
   double transmission_delay_ms(int from, int to) const;
+
+  /// Row `from` of the all-pairs delay table: element `to` equals
+  /// transmission_delay_ms(from, to). Per-station scans read it once
+  /// instead of range-checking every pair. Throws std::out_of_range when
+  /// `from` is not a station id.
+  std::span<const double> delays_from(int from) const;
 
   /// True when every station can reach every other.
   bool connected() const noexcept;

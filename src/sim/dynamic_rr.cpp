@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "bandit/epsilon_greedy.h"
 #include "bandit/thompson.h"
@@ -26,6 +27,22 @@ lp::RevisedSimplexOptions slot_lp_options(const DynamicRrParams& params) {
   return opt;
 }
 
+/// Rejects threshold ranges no arm can be played from: a zero threshold
+/// makes the per-station quota floor(C / C^th) divide by zero, and
+/// non-finite bounds put infinite or NaN arms on the grid.
+DynamicRrParams checked(const DynamicRrParams& params) {
+  if (!std::isfinite(params.threshold_min_mhz) ||
+      !std::isfinite(params.threshold_max_mhz)) {
+    throw std::invalid_argument(
+        "DynamicRrPolicy: threshold range must be finite");
+  }
+  if (params.threshold_min_mhz <= 0.0) {
+    throw std::invalid_argument(
+        "DynamicRrPolicy: threshold_min_mhz must be > 0");
+  }
+  return params;
+}
+
 }  // namespace
 
 DynamicRrPolicy::DynamicRrPolicy(const mec::Topology& topo,
@@ -33,7 +50,7 @@ DynamicRrPolicy::DynamicRrPolicy(const mec::Topology& topo,
                                  DynamicRrParams params, util::Rng rng)
     : topo_(topo),
       alg_(alg),
-      params_(params),
+      params_(checked(params)),
       rng_(rng),
       grid_(params.threshold_min_mhz, params.threshold_max_mhz,
             params.kappa) {
@@ -344,31 +361,40 @@ void DynamicRrPolicy::admit_new(const mec::Topology& topo,
       // Deterministic rounding: request -> station with the largest
       // fractional mass sum_l y_jil; among stations within 50% of the best
       // mass (the LP is often indifferent, ER_jil varies little across
-      // stations) prefer the lowest placement latency. Latencies come from
-      // the column metadata the builder already computed.
-      std::vector<double>& mass = scratch_mass_;
-      mass.assign(static_cast<std::size_t>(topo.num_stations()), 0.0);
-      std::vector<double>& lat_of = scratch_lat_of_;
-      lat_of.assign(static_cast<std::size_t>(topo.num_stations()), 0.0);
+      // stations) prefer the lowest (placement latency, id). Mass is summed
+      // per station over the entry's own columns, in column order; a column
+      // at zero adds no mass, so only the LP's support is visited.
+      // Latencies come from the column metadata the builder already
+      // computed.
+      std::vector<StationMass>& support = scratch_support_;
       for (std::size_t b = 0; b < ids.size(); ++b) {
-        std::fill(mass.begin(), mass.end(), 0.0);
+        support.clear();
         for (int col : inst.request_columns[b]) {
+          const double x = res.x[static_cast<std::size_t>(col)];
+          if (x == 0.0) continue;
           const core::SlotVar& var = inst.vars[static_cast<std::size_t>(col)];
-          mass[static_cast<std::size_t>(var.station)] +=
-              res.x[static_cast<std::size_t>(col)];
-          lat_of[static_cast<std::size_t>(var.station)] = var.latency_ms;
+          auto it = std::find_if(
+              support.begin(), support.end(),
+              [&](const StationMass& s) { return s.station == var.station; });
+          if (it == support.end()) {
+            support.push_back(StationMass{var.station, 0.0, var.latency_ms});
+            it = support.end() - 1;
+          }
+          it->mass += x;
         }
         double best_mass = 0.0;
-        for (double m : mass) best_mass = std::max(best_mass, m);
+        for (const StationMass& s : support) {
+          best_mass = std::max(best_mass, s.mass);
+        }
         if (best_mass < 0.25) continue;  // no meaningful LP support
         int best_bs = -1;
         double best_lat = 0.0;
-        for (std::size_t bs = 0; bs < mass.size(); ++bs) {
-          if (mass[bs] < 0.5 * best_mass || mass[bs] < 0.25) continue;
-          const double lat = lat_of[bs];
-          if (best_bs < 0 || lat < best_lat) {
-            best_bs = static_cast<int>(bs);
-            best_lat = lat;
+        for (const StationMass& s : support) {
+          if (s.mass < 0.5 * best_mass || s.mass < 0.25) continue;
+          if (best_bs < 0 || s.latency_ms < best_lat ||
+              (s.latency_ms == best_lat && s.station < best_bs)) {
+            best_bs = s.station;
+            best_lat = s.latency_ms;
           }
         }
         placement[b] = best_bs;
@@ -431,8 +457,10 @@ void DynamicRrPolicy::admit_new(const mec::Topology& topo,
           }
         }
       } else {
-        for (const auto& cand :
-             core::candidate_stations(topo, req, alg_, wait)) {
+        // The slot LP's stored candidate list for this entry: it was built
+        // for the same request at the same wait, so a second station scan
+        // would return it again.
+        for (const core::CandidateStation& cand : inst.request_candidates[b]) {
           if (admissible(cand.station, cand.latency_ms)) {
             bs = cand.station;
             break;

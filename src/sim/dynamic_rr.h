@@ -216,8 +216,13 @@ class DynamicRrPolicy final : public OnlinePolicy {
   std::vector<mec::ARRequest> scratch_batch_;
   std::vector<int> scratch_placement_;
   std::vector<double> scratch_placement_lat_;
-  std::vector<double> scratch_mass_;
-  std::vector<double> scratch_lat_of_;
+  /// One station of a batch entry's LP support during rounding.
+  struct StationMass {
+    int station;
+    double mass;
+    double latency_ms;
+  };
+  std::vector<StationMass> scratch_support_;
 };
 
 }  // namespace mecar::sim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -94,11 +93,7 @@ OnlineSimulator::OnlineSimulator(const mec::Topology& topo,
   }
   min_latency_ms_.reserve(requests_.size());
   for (const mec::ARRequest& req : requests_) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int bs = 0; bs < topo_.num_stations(); ++bs) {
-      best = std::min(best, mec::placement_latency_ms(topo_, req, bs));
-    }
-    min_latency_ms_.push_back(best);
+    min_latency_ms_.push_back(mec::min_placement_latency_ms(topo_, req));
   }
 }
 
@@ -118,7 +113,6 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   // independent and repeatable.
   std::vector<mec::ARRequest> requests = requests_;
   std::vector<double> min_latency = min_latency_ms_;
-  const double kInf = std::numeric_limits<double>::infinity();
 
   // Fault machinery. The legacy `outages` list merges into the plan; when
   // the merged plan is empty the whole chaos path is skipped and the run
@@ -168,12 +162,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   std::vector<char> prev_up;
 
   const auto eff_min_of = [&](const mec::ARRequest& req) {
-    double best = kInf;
-    for (int bs = 0; bs < topo_.num_stations(); ++bs) {
-      if (up[static_cast<std::size_t>(bs)] == 0) continue;
-      best = std::min(best, mec::placement_latency_ms(*active, req, bs));
-    }
-    return best;
+    return mec::min_placement_latency_ms(*active, req, up);
   };
   const auto drop_cause_of = [&](std::size_t j) {
     if (!chaos) return DropCause::kStarvation;
@@ -215,12 +204,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     start_slot = resume->next_slot;
     for (std::size_t j = 0; j < requests.size(); ++j) {
       requests[j].home_station = resume->home_station[j];
-      double best = kInf;
-      for (int bs = 0; bs < topo_.num_stations(); ++bs) {
-        best = std::min(best,
-                        mec::placement_latency_ms(topo_, requests[j], bs));
-      }
-      min_latency[j] = best;
+      min_latency[j] = mec::min_placement_latency_ms(topo_, requests[j]);
     }
     states = resume->states;
     metrics = resume->metrics;
@@ -296,11 +280,8 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
       req.home_station = move.new_home;
       ++metrics.handovers;
       om.sim_handovers.add();
-      double best = std::numeric_limits<double>::infinity();
-      for (int bs = 0; bs < topo_.num_stations(); ++bs) {
-        best = std::min(best, mec::placement_latency_ms(topo_, req, bs));
-      }
-      min_latency[static_cast<std::size_t>(move.request_index)] = best;
+      min_latency[static_cast<std::size_t>(move.request_index)] =
+          mec::min_placement_latency_ms(topo_, req);
       if (chaos) {
         eff_min[static_cast<std::size_t>(move.request_index)] =
             eff_min_of(req);

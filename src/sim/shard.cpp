@@ -162,7 +162,6 @@ int ShardEngine::shard_of_station(int station) const noexcept {
 
 OnlineMetrics ShardEngine::run(OnlinePolicy& policy, SlotHook* hook,
                                const SimSnapshot* resume) {
-  const double kInf = std::numeric_limits<double>::infinity();
   const int num_stations = topo_.num_stations();
   const int shard_count = num_shards();
   const std::size_t num_requests = requests_.size();
@@ -208,12 +207,7 @@ OnlineMetrics ShardEngine::run(OnlinePolicy& policy, SlotHook* hook,
   std::vector<char> prev_up;
 
   const auto eff_min_of = [&](const mec::ARRequest& req) {
-    double best = kInf;
-    for (int bs = 0; bs < topo_.num_stations(); ++bs) {
-      if (up[static_cast<std::size_t>(bs)] == 0) continue;
-      best = std::min(best, mec::placement_latency_ms(*active, req, bs));
-    }
-    return best;
+    return mec::min_placement_latency_ms(*active, req, up);
   };
   const auto drop_cause_of = [&](std::size_t j) {
     if (!chaos) return DropCause::kStarvation;
@@ -276,12 +270,7 @@ OnlineMetrics ShardEngine::run(OnlinePolicy& policy, SlotHook* hook,
     start_slot = resume->next_slot;
     for (std::size_t j = 0; j < num_requests; ++j) {
       requests_[j].home_station = resume->home_station[j];
-      double best = kInf;
-      for (int bs = 0; bs < topo_.num_stations(); ++bs) {
-        best =
-            std::min(best, mec::placement_latency_ms(topo_, requests_[j], bs));
-      }
-      min_latency_[j] = best;
+      min_latency_[j] = mec::min_placement_latency_ms(topo_, requests_[j]);
     }
     states = resume->states;
     metrics = resume->metrics;
@@ -406,11 +395,7 @@ OnlineMetrics ShardEngine::run(OnlinePolicy& policy, SlotHook* hook,
       req.home_station = move.new_home;
       ++metrics.handovers;
       om.sim_handovers.add();
-      double best = std::numeric_limits<double>::infinity();
-      for (int bs = 0; bs < topo_.num_stations(); ++bs) {
-        best = std::min(best, mec::placement_latency_ms(topo_, req, bs));
-      }
-      min_latency_[j] = best;
+      min_latency_[j] = mec::min_placement_latency_ms(topo_, req);
       if (chaos) {
         eff_min[j] = eff_min_of(req);
         eff_stamp[j] = eff_epoch;

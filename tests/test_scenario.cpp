@@ -178,6 +178,27 @@ TEST(Scenario, ParseErrorsCarryLineNumbers) {
   EXPECT_THROW((void)exp::read_scenario(both), exp::ScenarioParseError);
 }
 
+TEST(Scenario, ThresholdRangeMustBePositiveAndFinite) {
+  const auto line_of = [](const std::string& text) {
+    std::istringstream is(text);
+    try {
+      (void)exp::read_scenario(is);
+    } catch (const exp::ScenarioParseError& e) {
+      return e.line();
+    }
+    return -1;
+  };
+  EXPECT_EQ(line_of("name x\nthreshold_range 0 1100\n"), 2);
+  EXPECT_EQ(line_of("name x\nthreshold_range -5 1100\n"), 2);
+  EXPECT_EQ(line_of("name x\n\nthreshold_range nan 1100\n"), 3);
+  EXPECT_EQ(line_of("threshold_range 500 inf\n"), 1);
+  EXPECT_EQ(line_of("threshold_range -inf 1100\n"), 1);
+  std::istringstream ok("name x\nthreshold_range 450 1200\n");
+  const exp::ScenarioSpec spec = exp::read_scenario(ok);
+  EXPECT_EQ(spec.rr.threshold_min_mhz, 450.0);
+  EXPECT_EQ(spec.rr.threshold_max_mhz, 1200.0);
+}
+
 TEST(Scenario, CommentsAndBlankLinesIgnored) {
   std::istringstream is(
       "# a figure\n\nname fig\naxis requests\npoints 10 20\n"

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "mec/workload.h"
 #include "sim/dynamic_rr.h"
@@ -412,6 +416,30 @@ TEST(DynamicRr, RespectsKappaParameter) {
   EXPECT_EQ(policy.grid().num_arms(), 9);
   EXPECT_DOUBLE_EQ(policy.grid().spacing(),
                    (params.threshold_max_mhz - params.threshold_min_mhz) / 8);
+}
+
+TEST(DynamicRr, RejectsNonPositiveAndNonFiniteThresholds) {
+  // A zero threshold would make the per-station quota floor(C / C^th)
+  // divide by zero; non-finite bounds would put inf/NaN arms on the grid.
+  const mec::Topology topo = one_station();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
+           {0.0, 1100.0}, {-5.0, 1100.0}, {nan, 1100.0}, {500.0, nan},
+           {500.0, inf}, {-inf, 1100.0}}) {
+    DynamicRrParams params;
+    params.threshold_min_mhz = lo;
+    params.threshold_max_mhz = hi;
+    EXPECT_THROW(DynamicRrPolicy(topo, core::AlgorithmParams{}, params,
+                                 util::Rng(1)),
+                 std::invalid_argument)
+        << "range [" << lo << ", " << hi << "]";
+  }
+  DynamicRrParams pinned;
+  pinned.threshold_min_mhz = 1e-3;
+  pinned.threshold_max_mhz = 1e-3;
+  EXPECT_NO_THROW(DynamicRrPolicy(topo, core::AlgorithmParams{}, pinned,
+                                  util::Rng(1)));
 }
 
 TEST(OnlineBaselines, GreedyReservesPeakSoRewardedEqualsCompleted) {
