@@ -1,15 +1,12 @@
-// Scale: the sharded O(live + changes) slot loop against the legacy
-// full-rebuild loop on a large instance (default 10^3 stations, 10^5
-// requests). Arrivals are packed into a front window so most of the
-// horizon is the steady state the tentpole optimizes: a slot where little
-// changes must cost O(changes), not O(|R|) rescans of every request.
+// Scale: the O(live + changes) slot loop on a large instance (default 10^3
+// stations, 10^5 requests). Arrivals are packed into a front window so
+// most of the horizon is steady-state drain: a slot where little changes
+// must cost O(changes), not O(|R|) rescans of every request.
 //
-// Three runs over common random numbers:
-//   legacy      — the per-slot full-rescan loop (num_shards = -1),
-//   sharded     — the shard engine, same policy settings (must be
-//                 bit-identical to legacy; verified here),
-//   incremental — the shard engine with the DynamicRR incremental slot-LP
-//                 pipeline on (objective-equal, tie-breaks may differ).
+// Two runs over common random numbers:
+//   scratch     — DynamicRR building every slot LP from scratch (default),
+//   incremental — DynamicRR with the incremental slot-LP pipeline on
+//                 (objective-equal, tie-breaks may differ).
 //
 // Slot latency comes from the obs exporters: the sim.slot_wall_ms
 // histogram is reset before each run and its p50/p95/p99 are read back
@@ -17,21 +14,17 @@
 // path `mecar_cli experiment --metrics-out` exports.
 //
 //   ./bench/scale [--smoke] [--stations=N] [--requests=N] [--horizon=T]
-//                 [--window=W] [--shards=K] [--seeds=S] [--min-speedup=X]
-//                 [--snapshot[=PATH]]
+//                 [--window=W] [--seeds=S] [--snapshot[=PATH]]
 //
-// --smoke runs the headline configuration once and fails (exit 1) unless
-// the sharded steady-state slot (p50) is at least --min-speedup times
-// faster than a legacy full-rebuild slot and the sharded run reproduced
-// the legacy metrics exactly. --snapshot writes BENCH_scale.json.
-#include <cmath>
+// Every run checks that each leg conserves requests (completed + dropped
+// + unfinished == arrived) and saw every slot, and exits 1 otherwise;
+// --smoke reports the outcome. --snapshot writes BENCH_scale.json.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "exp/instance.h"
-#include "obs/catalog.h"
 #include "obs/telemetry.h"
 #include "sim/dynamic_rr.h"
 #include "sim/online_sim.h"
@@ -44,28 +37,28 @@ namespace {
 
 using namespace mecar;
 
-/// One engine configuration's outcome: headline simulator metrics (for
-/// the bit-identity check) plus the slot-latency percentiles read back
-/// from the obs registry.
-struct EngineRun {
+/// One leg's outcome: headline simulator metrics plus the slot-latency
+/// percentiles read back from the obs registry.
+struct LegRun {
   std::string label;
   double reward = 0.0;
+  double arrived = 0.0;
   double completed = 0.0;
   double drops = 0.0;
+  double unfinished = 0.0;
   double total_ms = 0.0;
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
   double max = 0.0;
   double slots = 0.0;
-  double shard_imbalance = 0.0;
   long long lp_delta_builds = 0;
   long long lp_full_builds = 0;
 };
 
-EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
-                     bool incremental_lp, int seeds, std::string label) {
-  EngineRun out;
+LegRun run_leg(const exp::Instance& inst, int horizon, bool incremental_lp,
+               int seeds, std::string label) {
+  LegRun out;
   out.label = std::move(label);
   // Pool the per-slot samples of every seed into one histogram so the
   // percentiles describe the engine, not one lucky run.
@@ -73,7 +66,6 @@ EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
   for (int s = 0; s < seeds; ++s) {
     sim::OnlineParams params;
     params.horizon_slots = horizon;
-    params.num_shards = num_shards;
     sim::DynamicRrParams rr;
     rr.incremental_lp = incremental_lp;
     sim::DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{}, rr,
@@ -84,8 +76,10 @@ EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
     const sim::OnlineMetrics metrics = simulator.run(policy);
     out.total_ms += run_timer.elapsed_ms();
     out.reward += metrics.total_reward;
+    out.arrived += static_cast<double>(metrics.arrived);
     out.completed += static_cast<double>(metrics.completed);
     out.drops += static_cast<double>(metrics.dropped);
+    out.unfinished += static_cast<double>(metrics.unfinished);
     out.lp_delta_builds += policy.incremental_lp_stats().delta_builds;
     out.lp_full_builds += policy.incremental_lp_stats().full_builds;
   }
@@ -98,13 +92,10 @@ EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
     out.max = h->max;
     out.slots = static_cast<double>(h->count);
   }
-  if (const obs::GaugeSnapshot* g = snap.find_gauge("sim.shard_imbalance")) {
-    out.shard_imbalance = g->value;
-  }
   return out;
 }
 
-void print_run(const EngineRun& r) {
+void print_run(const LegRun& r) {
   std::cout << "  " << r.label << ": slot p50/p95/p99 = " << r.p50 << " / "
             << r.p95 << " / " << r.p99 << " ms  (max " << r.max << ", "
             << r.slots << " slots, total " << r.total_ms
@@ -114,13 +105,33 @@ void print_run(const EngineRun& r) {
     std::cout << "  lp full/delta=" << r.lp_full_builds << "/"
               << r.lp_delta_builds;
   }
-  if (r.shard_imbalance > 0.0) {
-    std::cout << "  imbalance=" << r.shard_imbalance;
-  }
   std::cout << '\n';
 }
 
-void write_run(util::JsonWriter& w, const EngineRun& r) {
+/// Counts this leg's failed checks, reporting each on stderr.
+int check_run(const LegRun& r, int horizon, int seeds) {
+  int failures = 0;
+  if (r.completed + r.drops + r.unfinished != r.arrived) {
+    ++failures;
+    std::cerr << "FAIL: " << r.label << " lost requests (completed "
+              << r.completed << " + drops " << r.drops << " + unfinished "
+              << r.unfinished << " != arrived " << r.arrived << ")\n";
+  }
+#if MECAR_TELEMETRY_ENABLED
+  const double expected = static_cast<double>(horizon) * seeds;
+  if (r.slots != expected) {
+    ++failures;
+    std::cerr << "FAIL: " << r.label << " observed " << r.slots
+              << " slots, expected " << expected << '\n';
+  }
+#else
+  (void)horizon;
+  (void)seeds;
+#endif
+  return failures;
+}
+
+void write_run(util::JsonWriter& w, const LegRun& r) {
   w.key(r.label).begin_object();
   w.field("slot_ms_p50", r.p50);
   w.field("slot_ms_p95", r.p95);
@@ -133,7 +144,6 @@ void write_run(util::JsonWriter& w, const EngineRun& r) {
   w.field("drops", r.drops);
   w.field("lp_full_builds", static_cast<double>(r.lp_full_builds));
   w.field("lp_delta_builds", static_cast<double>(r.lp_delta_builds));
-  w.field("shard_imbalance", r.shard_imbalance);
   w.end_object();
 }
 
@@ -152,11 +162,9 @@ int main(int argc, char** argv) {
     const int horizon = static_cast<int>(cli.get_int_or("horizon", 2000));
     const int window = static_cast<int>(
         cli.get_int_or("window", std::max(1, horizon / 5)));
-    const int shards = static_cast<int>(cli.get_int_or("shards", 8));
     const int seeds = static_cast<int>(cli.get_int_or("seeds", 1));
-    const double min_speedup = cli.get_double_or("min-speedup", 10.0);
     if (stations <= 0 || requests <= 0 || horizon <= 0 || window <= 0 ||
-        shards <= 0 || seeds <= 0) {
+        seeds <= 0) {
       std::cerr << "scale: all size parameters must be positive\n";
       return 1;
     }
@@ -167,65 +175,16 @@ int main(int argc, char** argv) {
     config.horizon_slots = window;  // arrival window, not the run horizon
     std::cout << "scale: " << stations << " stations, " << requests
               << " requests arriving over " << window << " of " << horizon
-              << " slots, " << shards << " shards, " << seeds << " seed(s)\n";
+              << " slots, " << seeds << " seed(s)\n";
     const exp::Instance inst = exp::make_instance(1u, config);
 
-    const EngineRun legacy =
-        run_engine(inst, horizon, -1, false, seeds, "legacy");
-    const EngineRun sharded =
-        run_engine(inst, horizon, shards, false, seeds, "sharded");
-    const EngineRun incremental =
-        run_engine(inst, horizon, shards, true, seeds, "incremental");
-    print_run(legacy);
-    print_run(sharded);
+    const LegRun scratch = run_leg(inst, horizon, false, seeds, "scratch");
+    const LegRun incremental =
+        run_leg(inst, horizon, true, seeds, "incremental");
+    print_run(scratch);
     print_run(incremental);
-
-    int failures = 0;
-    // Bit-identity: same policy settings -> the shard engine must
-    // reproduce the legacy metrics exactly (the goldens prove this on the
-    // small benches; this re-proves it at scale).
-    if (sharded.reward != legacy.reward ||
-        sharded.completed != legacy.completed ||
-        sharded.drops != legacy.drops) {
-      ++failures;
-      std::cerr << "FAIL: sharded run diverged from legacy (reward "
-                << sharded.reward << " vs " << legacy.reward << ", completed "
-                << sharded.completed << " vs " << legacy.completed
-                << ", drops " << sharded.drops << " vs " << legacy.drops
-                << ")\n";
-    }
-    if (legacy.slots != sharded.slots ||
-        legacy.slots !=
-            static_cast<double>(horizon) * static_cast<double>(seeds)) {
-      // With telemetry compiled out both counts are 0 and this stays quiet
-      // only for the equal-slots half; the horizon check needs samples.
-      if (legacy.slots != 0.0 || sharded.slots != 0.0) {
-        ++failures;
-        std::cerr << "FAIL: slot histogram count mismatch (legacy "
-                  << legacy.slots << ", sharded " << sharded.slots
-                  << ", expected " << horizon * seeds << ")\n";
-      }
-    }
-    if (incremental.completed <= 0.0) {
-      ++failures;
-      std::cerr << "FAIL: the incremental run completed no sessions\n";
-    }
-
-#if MECAR_TELEMETRY_ENABLED
-    const double steady = std::min(sharded.p50, incremental.p50);
-    const double speedup = steady > 0.0 ? legacy.p50 / steady : 0.0;
-    std::cout << "steady-state slot speedup (legacy p50 / best sharded p50): "
-              << speedup << "x (floor " << min_speedup << "x)\n";
-    if (smoke && speedup < min_speedup) {
-      ++failures;
-      std::cerr << "FAIL: steady-state speedup " << speedup << "x below the "
-                << min_speedup << "x floor\n";
-    }
-#else
-    const double speedup = 0.0;
-    std::cout << "telemetry compiled out: slot percentiles unavailable, "
-                 "skipping the speedup floor\n";
-#endif
+    const int failures = check_run(scratch, horizon, seeds) +
+                         check_run(incremental, horizon, seeds);
 
     if (cli.has("snapshot")) {
       const std::string path = cli.get_or("snapshot", "").empty()
@@ -238,14 +197,11 @@ int main(int argc, char** argv) {
       w.field("requests", requests);
       w.field("horizon", horizon);
       w.field("arrival_window", window);
-      w.field("shards", shards);
       w.field("seeds", seeds);
-      w.key("engines").begin_object();
-      write_run(w, legacy);
-      write_run(w, sharded);
+      w.key("legs").begin_object();
+      write_run(w, scratch);
       write_run(w, incremental);
       w.end_object();
-      w.field("steady_state_speedup", speedup);
       w.end_object();
       w.done();
       if (!file.good()) {
@@ -260,8 +216,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (smoke) std::cout << "smoke: all scale checks hold\n";
-    std::cout << "shape: steady-state slots cost O(live + changes) sharded "
-                 "vs O(|R|) legacy; the gap widens with |R|\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "scale: " << e.what() << '\n';

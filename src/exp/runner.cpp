@@ -166,14 +166,13 @@ MetricMap online_trial_metrics(const ScenarioSpec& spec,
 // tasks' rewards, and an optional mid-sim SimSnapshot.
 
 constexpr std::uint32_t kCkptMagic = 0x4b43524dU;  // "MRCK"
-constexpr std::uint32_t kCkptVersion = 1;
+constexpr std::uint32_t kCkptVersion = 2;
 
 struct CkptFingerprint {
   std::string name;
   std::uint8_t kind = 0;
   std::int32_t num_seeds = 0;
   std::int32_t base_horizon = 0;
-  std::int32_t shards = 0;
   std::int32_t lp_budget = 0;
   std::vector<double> points;
   std::vector<std::string> metrics;
@@ -185,7 +184,6 @@ void save_fingerprint(const CkptFingerprint& fp, util::SnapshotWriter& w) {
   w.u8(fp.kind);
   w.i32(fp.num_seeds);
   w.i32(fp.base_horizon);
-  w.i32(fp.shards);
   w.i32(fp.lp_budget);
   w.vec(fp.points, [&](double v) { w.f64(v); });
   w.vec(fp.metrics, [&](const std::string& s) { w.str(s); });
@@ -205,7 +203,6 @@ void check_fingerprint(const CkptFingerprint& fp, util::SnapshotReader& r,
   if (r.u8() != fp.kind) mismatch("scenario kind");
   if (r.i32() != fp.num_seeds) mismatch("seeds");
   if (r.i32() != fp.base_horizon) mismatch("horizon");
-  if (r.i32() != fp.shards) mismatch("shards");
   if (r.i32() != fp.lp_budget) mismatch("lp budget");
   if (r.vec<double>([&] { return r.f64(); }) != fp.points) mismatch("points");
   if (r.vec<std::string>([&] { return r.str(); }) != fp.metrics) {
@@ -329,8 +326,6 @@ void Runner::set_horizon(int horizon) { horizon_override_ = horizon; }
 
 void Runner::set_lp_budget(int pivots) { lp_budget_override_ = pivots; }
 
-void Runner::set_shards(int shards) { shards_override_ = shards; }
-
 void Runner::set_observer(
     std::function<void(const TrialObservation&)> observer) {
   observer_ = std::move(observer);
@@ -399,8 +394,6 @@ Report Runner::run() const {
             const Instance inst = make_instance(seed, config);
             sim::OnlineParams params;
             params.horizon_slots = horizon;
-            params.num_shards =
-                shards_override_ != 0 ? shards_override_ : spec.shards;
             sim::DynamicRrParams dparams = spec.rr;
             if (lp_budget_override_ > 0) {
               dparams.lp_pivot_budget = lp_budget_override_;
@@ -532,8 +525,6 @@ Report Runner::run() const {
           params.alg = spec.alg;
           params.mobility = spec.mobility;
           params.collect_detail = spec.collect_detail;
-          params.num_shards =
-              shards_override_ != 0 ? shards_override_ : spec.shards;
 
           // Fault-free reference with common random numbers (the faulted
           // run reuses the same instance and a fresh policy).
@@ -618,7 +609,6 @@ Report Runner::run_sweep_checkpointed(
   fp.kind = 0;
   fp.num_seeds = static_cast<std::int32_t>(seeds.size());
   fp.base_horizon = base_horizon;
-  fp.shards = shards_override_ != 0 ? shards_override_ : spec.shards;
   fp.lp_budget = lp_budget_override_;
   fp.points = points;
   fp.metrics = spec.metrics;
@@ -700,8 +690,6 @@ Report Runner::run_sweep_checkpointed(
           params.alg = spec.alg;
           params.mobility = spec.mobility;
           params.collect_detail = spec.collect_detail;
-          params.num_shards =
-              shards_override_ != 0 ? shards_override_ : spec.shards;
 
           sim::OnlineMetrics ref;
           if (resumed_unit && cur.stage == 2 && cur.ref) {
@@ -792,7 +780,6 @@ Report Runner::run_regret_checkpointed(
   fp.kind = 1;
   fp.num_seeds = static_cast<std::int32_t>(seeds.size());
   fp.base_horizon = base_horizon;
-  fp.shards = shards_override_ != 0 ? shards_override_ : spec.shards;
   fp.lp_budget = lp_budget_override_;
   fp.points = points;
   fp.metrics = {"reward"};
@@ -860,8 +847,6 @@ Report Runner::run_regret_checkpointed(
       const Instance inst = make_instance(seed, config);
       sim::OnlineParams params;
       params.horizon_slots = horizon;
-      params.num_shards =
-          shards_override_ != 0 ? shards_override_ : spec.shards;
       sim::DynamicRrParams dparams = spec.rr;
       if (lp_budget_override_ > 0) {
         dparams.lp_pivot_budget = lp_budget_override_;

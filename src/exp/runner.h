@@ -75,9 +75,6 @@ class Runner {
   /// CLI override (--lp-budget): anytime pivot budget for the per-slot LP
   /// of every DynamicRR-family policy; 0 / negative = keep the spec's.
   void set_lp_budget(int pivots);
-  /// CLI override (--shards): slot-loop engine selection (see
-  /// ScenarioSpec::shards); 0 = keep the spec's, -1 forces legacy.
-  void set_shards(int shards);
 
   /// Called once per (point, seed, policy) during the serial reduction.
   void set_observer(std::function<void(const TrialObservation&)> observer);
@@ -106,7 +103,6 @@ class Runner {
   int seeds_override_ = 0;
   int horizon_override_ = -1;
   int lp_budget_override_ = 0;
-  int shards_override_ = 0;
   CheckpointOptions checkpoint_;
   std::function<void(const TrialObservation&)> observer_;
 };

@@ -335,12 +335,6 @@ ScenarioSpec read_scenario(std::istream& is) {
           throw fail("lp_budget deadline_ms must be > 0");
         }
       }
-    } else if (key == "shards") {
-      // shards N — sharded slot loop with N shards (bit-identical to the
-      // legacy loop); 0 defers to MECAR_SHARDS, -1 forces legacy.
-      want_args(1);
-      spec.shards = int_arg(0, "shards");
-      if (spec.shards < -1) throw fail("shards must be >= -1");
     } else if (key == "incremental_lp") {
       want_args(1);
       spec.rr.incremental_lp = bool_arg(0, "incremental_lp");
@@ -454,9 +448,6 @@ void write_scenario(const ScenarioSpec& spec, std::ostream& os) {
       os << ' ' << format_value(spec.rr.lp_deadline_ms);
     }
     os << '\n';
-  }
-  if (spec.shards != defaults.shards) {
-    os << "shards " << spec.shards << '\n';
   }
   if (spec.rr.incremental_lp) os << "incremental_lp true\n";
 }

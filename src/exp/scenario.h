@@ -48,8 +48,6 @@
 //                                   #   optional wall-clock deadline (ms);
 //                                   #   exhausting it keeps the best
 //                                   #   feasible iterate (kDeadline)
-//   shards 4                        # sharded slot loop (bit-identical);
-//                                   #   0 = MECAR_SHARDS env, -1 = legacy
 //   incremental_lp true             # delta-build the slot LP-PT across
 //                                   #   slots (objective-equal, tie-breaks
 //                                   #   may differ from scratch builds)
@@ -129,10 +127,6 @@ struct ScenarioSpec {
   /// When axis = horizon and this is > 0, |R| = horizon * requests_per_slot
   /// (arrival intensity held constant as T grows).
   double requests_per_slot = 0.0;
-  /// Slot-loop engine (sim::OnlineParams::num_shards): > 0 sharded with
-  /// that many shards, 0 consults MECAR_SHARDS (default), -1 forces the
-  /// legacy loop. Results are bit-identical either way.
-  int shards = 0;
 };
 
 /// Structured scenario-file parse failure carrying the 1-based line number.

@@ -82,12 +82,6 @@ Metrics make_metrics() {
       {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
        100.0},
       "wall-clock time per simulated slot, ms");
-  m.sim_shards = reg.gauge(
-      "sim.shards", "station shards of the current sharded simulation run");
-  m.sim_shard_imbalance = reg.gauge(
-      "sim.shard_imbalance",
-      "latest slot's max/mean ratio of live requests per shard (1.0 = "
-      "perfectly balanced)");
 
   m.exp_trials = reg.counter("exp.trials", "experiment trials executed");
   return m;

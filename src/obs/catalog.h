@@ -48,8 +48,6 @@ struct Metrics {
   Gauge sim_degradation_level;  // sim.degradation_level
   Histogram sim_slot_reward;  // sim.slot_reward
   Histogram sim_slot_wall_ms;   // sim.slot_wall_ms
-  Gauge sim_shards;             // sim.shards
-  Gauge sim_shard_imbalance;    // sim.shard_imbalance
 
   // --- exp: experiment engine -----------------------------------------
   Counter exp_trials;  // exp.trials

@@ -5,8 +5,8 @@
 // primitives, atomic writes); this header owns the simulator-shaped layers
 // above it:
 //
-//  * save_sim_snapshot / load_sim_snapshot — the engine-agnostic
-//    SimSnapshot (sim/online_sim.h) as a tagged payload section, nested by
+//  * save_sim_snapshot / load_sim_snapshot — the canonical SimSnapshot
+//    (sim/online_sim.h) as a tagged payload section, nested by
 //    the experiment runner inside its checkpoint frame;
 //  * save_online_metrics / load_online_metrics — a standalone OnlineMetrics
 //    (the runner checkpoints reference-run results this way);
@@ -74,7 +74,7 @@ class CheckpointStore {
   std::string dir_;
 };
 
-/// Arms a SIGKILL at the top of `slot` (any engine, any policy). CLI flag
+/// Arms a SIGKILL at the top of `slot` (any policy). CLI flag
 /// --crash-at. Negative disarms.
 void arm_crash_at_slot(int slot);
 
@@ -83,8 +83,8 @@ void arm_crash_at_slot(int slot);
 /// --crash-after-units). Non-positive disarms.
 void arm_crash_after_units(int units);
 
-/// Disarms both armed crashes AND scripted FaultPlan crash points (the
-/// engines pass plan_crash=false after this). Called on --resume so a
+/// Disarms both armed crashes AND scripted FaultPlan crash points
+/// (crash_point ignores plan_crash after this). Called on --resume so a
 /// restored run sails past the slot that killed it.
 void disarm_crashes();
 

@@ -146,7 +146,7 @@ struct FaultPlan {
 
   /// True when no fault events are scripted. Crash points are NOT events:
   /// they must not arm the chaos machinery (overlays, fault accounting),
-  /// so a crash-only plan stays empty() and the engines only consult
+  /// so a crash-only plan stays empty() and the slot loop only consults
   /// crash_at().
   bool empty() const noexcept;
   /// Fault events, crash points excluded (see empty()).

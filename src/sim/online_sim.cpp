@@ -2,19 +2,81 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "mec/topology_overlay.h"
 #include "obs/catalog.h"
 #include "obs/event_trace.h"
 #include "sim/checkpoint.h"
-#include "sim/shard.h"
 #include "util/log.h"
 #include "util/snapshot.h"
 #include "util/timer.h"
 
 namespace mecar::sim {
+
+namespace {
+
+/// Removes the (sorted, unique) indices in `gone` from sorted `list`.
+void remove_sorted(std::vector<int>& list, const std::vector<int>& gone) {
+  if (gone.empty()) return;
+  auto out = list.begin();
+  auto g = gone.begin();
+  for (auto it = list.begin(); it != list.end(); ++it) {
+    while (g != gone.end() && *g < *it) ++g;
+    if (g != gone.end() && *g == *it) continue;
+    *out++ = *it;
+  }
+  list.erase(out, list.end());
+}
+
+/// Merges the (sorted, unique) indices in `add` into sorted `list`.
+void insert_sorted(std::vector<int>& list, const std::vector<int>& add) {
+  if (add.empty()) return;
+  const auto old_size = static_cast<std::ptrdiff_t>(list.size());
+  list.insert(list.end(), add.begin(), add.end());
+  std::inplace_merge(list.begin(), list.begin() + old_size, list.end());
+}
+
+/// Throws std::invalid_argument unless `snap` can continue a run of
+/// `num_requests` requests over `num_stations` stations and `horizon`
+/// slots: every index the slot loop reads from it must be in range.
+void validate_resume(const SimSnapshot& snap, std::size_t num_requests,
+                     int num_stations, int horizon) {
+  const auto reject = [](const std::string& what) {
+    return std::invalid_argument("OnlineSimulator: resume snapshot " + what);
+  };
+  if (snap.states.size() != num_requests ||
+      snap.home_station.size() != num_requests ||
+      snap.fault_blocked.size() != num_requests ||
+      snap.cut_off.size() != num_requests ||
+      snap.displaced_at.size() != num_requests) {
+    throw reject("request-count mismatch");
+  }
+  if (snap.next_slot < 0 || snap.next_slot > horizon ||
+      snap.metrics.per_slot_reward.size() !=
+          static_cast<std::size_t>(horizon)) {
+    throw reject("horizon mismatch");
+  }
+  const auto stations = static_cast<std::size_t>(num_stations);
+  if (snap.up.size() != stations ||
+      (!snap.prev_up.empty() && snap.prev_up.size() != stations)) {
+    throw reject("station-count mismatch");
+  }
+  for (std::size_t j = 0; j < num_requests; ++j) {
+    const int home = snap.home_station[j];
+    const int placed = snap.states[j].station;
+    if (home < 0 || home >= num_stations || placed < -1 ||
+        placed >= num_stations) {
+      throw reject("station index out of range");
+    }
+  }
+}
+
+}  // namespace
 
 void OnlinePolicy::feedback(const SlotFeedback& /*fb*/) {}
 
@@ -25,19 +87,6 @@ void OnlinePolicy::load_state(util::SnapshotReader& /*r*/) {}
 double SlotView::waiting_ms(int request_index) const {
   const auto& req = (*requests)[static_cast<std::size_t>(request_index)];
   return (slot - req.arrival_slot) * slot_ms;
-}
-
-std::vector<double> SlotView::resident_demand_mhz() const {
-  if (resident_demand != nullptr) return *resident_demand;
-  std::vector<double> demand(static_cast<std::size_t>(topo->num_stations()),
-                             0.0);
-  for (std::size_t j = 0; j < states->size(); ++j) {
-    const RequestState& st = (*states)[j];
-    if (st.phase == Phase::kServed && st.station >= 0) {
-      demand[static_cast<std::size_t>(st.station)] += st.demand_mhz;
-    }
-  }
-  return demand;
 }
 
 std::vector<double> waterfill(double capacity,
@@ -84,7 +133,7 @@ OnlineSimulator::OnlineSimulator(const mec::Topology& topo,
     : topo_(topo),
       requests_(std::move(requests)),
       realized_(std::move(realized)),
-      params_(params) {
+      params_(std::move(params)) {
   if (realized_.size() != requests_.size()) {
     throw std::invalid_argument("OnlineSimulator: realized size mismatch");
   }
@@ -99,28 +148,31 @@ OnlineSimulator::OnlineSimulator(const mec::Topology& topo,
 
 OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
                                    const SimSnapshot* resume) {
-  // Sharded O(live + changes) engine (sim/shard.h); bit-identical to the
-  // legacy loop below at any shard count. Selection: explicit
-  // params_.num_shards, else the MECAR_SHARDS environment variable.
-  const int shards = resolve_num_shards(params_, topo_.num_stations());
-  if (shards > 0) {
-    ShardEngine engine(topo_, requests_, realized_, params_, min_latency_ms_,
-                       shards);
-    return engine.run(policy, hook, resume);
+  const int num_stations = topo_.num_stations();
+  const std::size_t num_requests = requests_.size();
+  const int horizon = params_.horizon_slots;
+  if (resume != nullptr) {
+    validate_resume(*resume, num_requests, num_stations, horizon);
   }
 
-  // Mobility mutates request attachments; work on a copy so runs stay
-  // independent and repeatable.
-  std::vector<mec::ARRequest> requests = requests_;
-  std::vector<double> min_latency = min_latency_ms_;
+  // Mobility and resume re-home requests. Only then does the run work on
+  // a copy of the workload (each request owns its task and rate-level
+  // vectors), so runs stay independent and repeatable.
+  const bool rehoming = !params_.mobility.empty() || resume != nullptr;
+  std::vector<mec::ARRequest> rehomed;
+  std::vector<double> rehomed_min_latency;
+  if (rehoming) {
+    rehomed = requests_;
+    rehomed_min_latency = min_latency_ms_;
+  }
+  const std::vector<mec::ARRequest>& requests =
+      rehoming ? rehomed : requests_;
+  const std::vector<double>& min_latency =
+      rehoming ? rehomed_min_latency : min_latency_ms_;
 
-  // Fault machinery. The legacy `outages` list merges into the plan; when
-  // the merged plan is empty the whole chaos path is skipped and the run
-  // is bit-identical to the pre-fault-engine simulator.
-  FaultPlan plan = params_.faults;
-  plan.station_outages.insert(plan.station_outages.end(),
-                              params_.outages.begin(),
-                              params_.outages.end());
+  // Fault machinery. An empty plan skips the whole chaos path, so a
+  // fault-free run is bit-identical to the pre-fault-engine simulator.
+  const FaultPlan& plan = params_.faults;
   const bool chaos = !plan.empty();
   if (chaos) plan.validate(topo_);
   std::optional<mec::TopologyOverlay> overlay;
@@ -129,10 +181,9 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   // when healthy, the overlay's effective topology under faults.
   const mec::Topology* active = &topo_;
 
-  std::vector<RequestState> states(requests.size());
+  std::vector<RequestState> states(num_requests);
   OnlineMetrics metrics;
-  metrics.per_slot_reward.assign(
-      static_cast<std::size_t>(params_.horizon_slots), 0.0);
+  metrics.per_slot_reward.assign(static_cast<std::size_t>(horizon), 0.0);
 
   // Telemetry. Counters are always cheap; the event trace is armed only
   // when an export was requested (exp::run_with_telemetry), so default
@@ -141,9 +192,6 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   obs::EventTrace& tr = obs::trace();
   const bool tracing = tr.enabled();
   if (tracing) tr.begin_run(policy.name(), params_.slot_ms);
-  // Preemption = a served, placed stream that was active last slot but not
-  // re-activated this slot (transition-counted, not per-idle-slot).
-  std::vector<char> was_active(states.size(), 0);
   // Fault-epoch trace bookkeeping: the slot the current epoch began.
   int epoch_index = -1;
   int epoch_begin_slot = 0;
@@ -152,13 +200,23 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   // placement latency over live stations of the *faulted* network, the
   // number of slots in which only faults blocked a budget-feasible
   // placement, whether it was ever fully cut off, and — for displaced
-  // streams — the slot the displacement happened.
-  std::vector<double> eff_min = min_latency;
-  std::vector<int> fault_blocked(requests.size(), 0);
-  std::vector<char> cut_off(requests.size(), 0);
-  std::vector<int> displaced_at(requests.size(), -1);
+  // streams — the slot the displacement happened. eff_min is LAZY: a new
+  // fault epoch bumps eff_epoch, and a request's value is recomputed on
+  // its first use inside an epoch (eff_stamp records the epoch it was
+  // computed in). It is a pure function of the epoch's up-set and
+  // effective topology, so laziness cannot change a value read.
+  std::vector<double> eff_min;
+  std::vector<long long> eff_stamp;
+  if (chaos) {
+    eff_min.assign(num_requests, 0.0);
+    eff_stamp.assign(num_requests, -1);
+  }
+  long long eff_epoch = 0;
+  std::vector<int> fault_blocked(num_requests, 0);
+  std::vector<char> cut_off(num_requests, 0);
+  std::vector<int> displaced_at(num_requests, -1);
   double recovery_slots_total = 0.0;
-  std::vector<char> up(static_cast<std::size_t>(topo_.num_stations()), 1);
+  std::vector<char> up(static_cast<std::size_t>(num_stations), 1);
   std::vector<char> prev_up;
 
   const auto eff_min_of = [&](const mec::ARRequest& req) {
@@ -192,19 +250,59 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     }
   };
 
+  // Live sets, each sorted by request index. Every pass below walks them
+  // in ascending order, which fixes the floating-point accumulation order
+  // and the trace-event order, and keeps a slot's cost proportional to
+  // the live requests rather than to |R|.
+  std::vector<int> waiting;    // arrived kWaiting requests
+  std::vector<int> served;     // kServed streams placed on a station
+  std::vector<int> displaced;  // kServed streams that lost their station
+  // Activations of the latest slot, sorted and unique: the only
+  // active_this_slot flags set, so the next slot resets just these.
+  std::vector<int> flags;
+  // Streams active and kServed after the latest slot (preemption check).
+  std::vector<int> prev_active;
+
+  // Arrival order: requests arriving before the horizon, by clamped slot
+  // max(arrival_slot, 0), ascending index within a slot. Pre-horizon
+  // arrivals join at slot 0 (but are never counted in `arrived`); later
+  // ones are never live.
+  const auto arrival_slot_of = [&](int j) {
+    return std::max(requests[static_cast<std::size_t>(j)].arrival_slot, 0);
+  };
+  std::vector<int> arrivals;
+  for (std::size_t j = 0; j < num_requests; ++j) {
+    if (requests[j].arrival_slot < horizon) {
+      arrivals.push_back(static_cast<int>(j));
+    }
+  }
+  std::stable_sort(arrivals.begin(), arrivals.end(), [&](int a, int b) {
+    return arrival_slot_of(a) < arrival_slot_of(b);
+  });
+  auto next_arrival = arrivals.cbegin();
+
+  // Per-slot scratch, reused so steady-state slots keep their capacity.
+  std::vector<int> candidates;  // waiting + this slot's arrivals
+  std::vector<int> pending;
+  std::vector<int> lost;      // placements displaced this slot
+  std::vector<int> admitted;  // leave `waiting`
+  std::vector<int> replaced;  // leave `displaced`
+  std::vector<int> placed;    // enter `served`
+  std::vector<int> done;      // completions, leave `served`
+  std::vector<std::pair<int, int>> residents;  // (station, request)
+  std::vector<double> demands;
+
   // Resume: overwrite the canonical state with the snapshot, then
-  // re-derive everything else exactly as the uninterrupted run would have
-  // computed it (same formulas over the same inputs -> same bits).
+  // re-derive everything else (live sets, activation flags, lazy eff_min,
+  // the arrival cursor) exactly as the uninterrupted run holds it.
   int start_slot = 0;
   if (resume != nullptr) {
-    if (resume->states.size() != requests.size()) {
-      throw std::invalid_argument(
-          "OnlineSimulator: resume snapshot request-count mismatch");
-    }
     start_slot = resume->next_slot;
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      requests[j].home_station = resume->home_station[j];
-      min_latency[j] = mec::min_placement_latency_ms(topo_, requests[j]);
+    for (std::size_t j = 0; j < num_requests; ++j) {
+      if (rehomed[j].home_station == resume->home_station[j]) continue;
+      rehomed[j].home_station = resume->home_station[j];
+      rehomed_min_latency[j] =
+          mec::min_placement_latency_ms(topo_, rehomed[j]);
     }
     states = resume->states;
     metrics = resume->metrics;
@@ -216,33 +314,47 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     prev_up = resume->prev_up;
     epoch_index = resume->epoch_index;
     epoch_begin_slot = resume->epoch_begin_slot;
-    for (std::size_t j = 0; j < states.size(); ++j) {
-      was_active[j] = states[j].active_this_slot &&
-                              states[j].phase == Phase::kServed
-                          ? 1
-                          : 0;
+    while (next_arrival != arrivals.cend() &&
+           arrival_slot_of(*next_arrival) < start_slot) {
+      ++next_arrival;
+    }
+    for (std::size_t j = 0; j < num_requests; ++j) {
+      const RequestState& st = states[j];
+      const int ji = static_cast<int>(j);
+      if (st.active_this_slot) {
+        flags.push_back(ji);
+        if (st.phase == Phase::kServed) prev_active.push_back(ji);
+      }
+      // A kWaiting request is live iff a pre-resume slot routed its
+      // arrival; this slot's arrivals join inside the loop.
+      if (st.phase == Phase::kWaiting && requests[j].arrival_slot < horizon &&
+          arrival_slot_of(ji) < start_slot) {
+        waiting.push_back(ji);
+      } else if (st.phase == Phase::kServed && st.station >= 0) {
+        served.push_back(ji);
+      } else if (st.phase == Phase::kServed) {
+        displaced.push_back(ji);
+      }
     }
     if (chaos && start_slot > 0) {
       // Prime the overlay with the perturbation active at the last
       // completed slot: the loop's slot-start apply() then sees the same
-      // epoch transition (or none) as the uninterrupted run.
+      // epoch transition (or none) as the uninterrupted run, and the
+      // recorded epoch count keeps fault_epochs bit-identical.
       overlay->apply(plan.snapshot(topo_, start_slot - 1).perturbation);
       overlay->set_epochs(resume->overlay_epochs);
       active = &overlay->effective();
-      for (std::size_t j = 0; j < requests.size(); ++j) {
-        eff_min[j] = eff_min_of(requests[j]);
-      }
     }
-    util::SnapshotReader pr = util::SnapshotReader::unframed(
-        resume->policy_state);
+    util::SnapshotReader pr =
+        util::SnapshotReader::unframed(resume->policy_state);
     policy.load_state(pr);
   }
 
-  for (int t = start_slot; t < params_.horizon_slots; ++t) {
+  for (int t = start_slot; t < horizon; ++t) {
     if (hook != nullptr && hook->want_snapshot(t)) {
       SimSnapshot snap;
       snap.next_slot = t;
-      snap.home_station.reserve(requests.size());
+      snap.home_station.reserve(num_requests);
       for (const mec::ARRequest& req : requests) {
         snap.home_station.push_back(req.home_station);
       }
@@ -271,24 +383,24 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     for (const MobilityEvent& move : params_.mobility) {
       if (move.slot != t) continue;
       if (move.request_index < 0 ||
-          move.request_index >= static_cast<int>(requests.size()) ||
-          move.new_home < 0 || move.new_home >= topo_.num_stations()) {
+          move.request_index >= static_cast<int>(num_requests) ||
+          move.new_home < 0 || move.new_home >= num_stations) {
         throw std::out_of_range("OnlineSimulator: bad mobility event");
       }
-      auto& req = requests[static_cast<std::size_t>(move.request_index)];
+      const auto j = static_cast<std::size_t>(move.request_index);
+      mec::ARRequest& req = rehomed[j];
       if (req.home_station == move.new_home) continue;
       req.home_station = move.new_home;
       ++metrics.handovers;
       om.sim_handovers.add();
-      min_latency[static_cast<std::size_t>(move.request_index)] =
-          mec::min_placement_latency_ms(topo_, req);
+      rehomed_min_latency[j] = mec::min_placement_latency_ms(topo_, req);
       if (chaos) {
-        eff_min[static_cast<std::size_t>(move.request_index)] =
-            eff_min_of(req);
+        eff_min[j] = eff_min_of(req);
+        eff_stamp[j] = eff_epoch;
       }
     }
     // 0. Fault bookkeeping: project the plan onto this slot, swap the
-    // overlay epoch when the fault set changed, and displace resident
+    // overlay epoch when the fault set changed, and displace placed
     // streams whose station died or whose user the backhaul cut off
     // (progress kept, placement lost).
     int slot_lp_budget = 0;
@@ -301,11 +413,9 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
       const bool rebuilt = overlay->apply(snap.perturbation);
       active = &overlay->effective();
       if (rebuilt || up != prev_up) {
-        // New fault epoch: live-station reachability changed, so the
-        // faulted minimum latencies must be re-derived.
-        for (std::size_t j = 0; j < requests.size(); ++j) {
-          eff_min[j] = eff_min_of(requests[j]);
-        }
+        // New fault epoch: live-station reachability changed, so every
+        // faulted minimum latency goes stale.
+        ++eff_epoch;
         om.sim_fault_epochs.add();
         if (tracing) {
           if (epoch_index >= 0) {
@@ -321,31 +431,84 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         }
       }
       prev_up = up;
-    }
-    for (std::size_t j = 0; j < states.size(); ++j) {
-      RequestState& st = states[j];
-      if (st.phase != Phase::kServed || st.station < 0) continue;
-      const bool station_down = up[static_cast<std::size_t>(st.station)] == 0;
-      const bool unreachable =
-          chaos && !std::isfinite(active->transmission_delay_ms(
-                        requests[j].home_station, st.station));
-      if (!station_down && !unreachable) continue;
-      st.station = -1;  // displaced; policy must re-place
-      ++metrics.displaced;
-      om.sim_displacements.add();
-      if (tracing) {
-        tr.emit(obs::EventKind::kDisplacement, static_cast<double>(j),
-                station_down ? 0.0 : 1.0);
+      lost.clear();
+      for (const int ji : served) {
+        const auto j = static_cast<std::size_t>(ji);
+        RequestState& st = states[j];
+        const bool station_down = up[static_cast<std::size_t>(st.station)] == 0;
+        const bool unreachable = !std::isfinite(active->transmission_delay_ms(
+            requests[j].home_station, st.station));
+        if (!station_down && !unreachable) continue;
+        lost.push_back(ji);
+        st.station = -1;  // displaced; policy must re-place
+        ++metrics.displaced;
+        om.sim_displacements.add();
+        if (tracing) {
+          tr.emit(obs::EventKind::kDisplacement, static_cast<double>(j),
+                  station_down ? 0.0 : 1.0);
+        }
+        if (station_down) {
+          ++metrics.resilience.displaced_outage;
+        } else {
+          ++metrics.resilience.displaced_partition;
+        }
+        if (displaced_at[j] < 0) displaced_at[j] = t;
       }
-      if (station_down) {
-        ++metrics.resilience.displaced_outage;
-      } else {
-        ++metrics.resilience.displaced_partition;
-      }
-      if (displaced_at[j] < 0) displaced_at[j] = t;
+      remove_sorted(served, lost);
+      insert_sorted(displaced, lost);
     }
 
-    // 1. Arrivals and starvation drops.
+    // 1. Arrivals and starvation drops over the carried waiting list
+    // merged with this slot's arrivals, in ascending request order.
+    const auto first_arrival = next_arrival;
+    for (; next_arrival != arrivals.cend() &&
+           arrival_slot_of(*next_arrival) <= t;
+         ++next_arrival) {
+      const auto j = static_cast<std::size_t>(*next_arrival);
+      if (requests[j].arrival_slot == t) ++metrics.arrived;
+    }
+    candidates.clear();
+    std::merge(waiting.cbegin(), waiting.cend(), first_arrival, next_arrival,
+               std::back_inserter(candidates));
+    waiting.clear();
+    double dropped_expected = 0.0;
+    for (const int ji : candidates) {
+      const auto j = static_cast<std::size_t>(ji);
+      const mec::ARRequest& req = requests[j];
+      RequestState& st = states[j];
+      const double wait_ms = (t - req.arrival_slot) * params_.slot_ms;
+      // The drop rule is the OPTIMISTIC bound (healthy-network minimum
+      // latency): a fault may clear before the budget runs out, so a
+      // request is only declared dead once waiting alone kills it.
+      if (wait_ms + min_latency[j] > req.latency_budget_ms) {
+        st.phase = Phase::kDropped;  // starved: deadline unmeetable
+        dropped_expected += req.demand.expected_reward();
+        account_drop(j);
+        om.sim_drops.add();
+        continue;
+      }
+      if (chaos) {
+        if (eff_stamp[j] != eff_epoch) {
+          eff_min[j] = eff_min_of(req);
+          eff_stamp[j] = eff_epoch;
+        }
+        if (wait_ms + eff_min[j] > req.latency_budget_ms) {
+          // This slot, only the faults stand between the request and a
+          // budget-feasible placement — the evidence drop attribution
+          // uses.
+          ++fault_blocked[j];
+          if (!std::isfinite(eff_min[j])) cut_off[j] = 1;
+        }
+      }
+      waiting.push_back(ji);
+    }
+
+    // Pending = waiting ∪ served ∪ displaced, ascending.
+    pending.clear();
+    std::merge(waiting.cbegin(), waiting.cend(), served.cbegin(),
+               served.cend(), std::back_inserter(pending));
+    insert_sorted(pending, displaced);
+
     SlotView view;
     view.slot = t;
     view.slot_ms = params_.slot_ms;
@@ -355,36 +518,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     view.topo = active;
     view.requests = &requests;
     view.states = &states;
-    double dropped_expected = 0.0;
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      const mec::ARRequest& req = requests[j];
-      RequestState& st = states[j];
-      if (req.arrival_slot > t) continue;
-      if (req.arrival_slot == t) ++metrics.arrived;
-      if (st.phase == Phase::kWaiting) {
-        const double wait_ms = (t - req.arrival_slot) * params_.slot_ms;
-        // The drop rule is the OPTIMISTIC bound (healthy-network minimum
-        // latency): a fault may clear before the budget runs out, so a
-        // request is only declared dead once waiting alone kills it.
-        if (wait_ms + min_latency[j] > req.latency_budget_ms) {
-          st.phase = Phase::kDropped;  // starved: deadline unmeetable
-          dropped_expected += req.demand.expected_reward();
-          account_drop(j);
-          om.sim_drops.add();
-          continue;
-        }
-        if (chaos && wait_ms + eff_min[j] > req.latency_budget_ms) {
-          // This slot, only the faults stand between the request and a
-          // budget-feasible placement — the evidence drop attribution uses.
-          ++fault_blocked[j];
-          if (!std::isfinite(eff_min[j])) cut_off[j] = 1;
-        }
-        view.pending.push_back(static_cast<int>(j));
-      } else if (st.phase == Phase::kServed) {
-        view.pending.push_back(static_cast<int>(j));
-      }
-    }
-
+    view.pending = std::move(pending);
     if (tracing) {
       tr.emit(obs::EventKind::kSlotBegin,
               static_cast<double>(view.pending.size()));
@@ -392,12 +526,20 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
 
     // 2. Policy decision.
     const SlotDecision decision = policy.decide(view);
+    pending = std::move(view.pending);
 
-    // 3. Apply activations.
-    for (auto& st : states) st.active_this_slot = false;
+    // 3. Apply activations in decision order. The previous slot's flags
+    // are the only ones set, so only they are reset.
+    for (const int ji : flags) {
+      states[static_cast<std::size_t>(ji)].active_this_slot = false;
+    }
+    flags.clear();
+    admitted.clear();
+    replaced.clear();
+    placed.clear();
     for (const SlotDecision::Activation& act : decision.active) {
       if (act.request_index < 0 ||
-          act.request_index >= static_cast<int>(requests.size())) {
+          act.request_index >= static_cast<int>(num_requests)) {
         throw std::out_of_range("OnlineSimulator: activation out of range");
       }
       const auto j = static_cast<std::size_t>(act.request_index);
@@ -408,7 +550,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         continue;  // stale activation; ignore
       }
       if (st.phase == Phase::kWaiting) {
-        if (act.station < 0 || act.station >= topo_.num_stations()) {
+        if (act.station < 0 || act.station >= num_stations) {
           throw std::out_of_range("OnlineSimulator: bad placement station");
         }
         if (up[static_cast<std::size_t>(act.station)] == 0) {
@@ -430,6 +572,8 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
           tr.emit(obs::EventKind::kAdmission, static_cast<double>(j),
                   act.station);
         }
+        admitted.push_back(act.request_index);
+        placed.push_back(act.request_index);
         st.station = act.station;
         st.first_service_slot = t;
         st.realized_level = level;
@@ -439,7 +583,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         st.latency_ms = lat;
       } else if (st.station < 0) {
         // Displaced stream: the activation re-places it (progress kept).
-        if (act.station < 0 || act.station >= topo_.num_stations()) {
+        if (act.station < 0 || act.station >= num_stations) {
           throw std::out_of_range("OnlineSimulator: bad re-placement station");
         }
         if (up[static_cast<std::size_t>(act.station)] == 0) continue;
@@ -447,6 +591,8 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
                          req.home_station, act.station))) {
           continue;  // re-placed across a partition; refuse
         }
+        replaced.push_back(act.request_index);
+        placed.push_back(act.request_index);
         st.station = act.station;
         if (displaced_at[j] >= 0) {
           ++metrics.resilience.recovered;
@@ -455,75 +601,89 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         }
       }
       st.active_this_slot = true;
+      flags.push_back(act.request_index);
     }
+    std::sort(flags.begin(), flags.end());
+    flags.erase(std::unique(flags.begin(), flags.end()), flags.end());
+    std::sort(admitted.begin(), admitted.end());
+    std::sort(replaced.begin(), replaced.end());
+    std::sort(placed.begin(), placed.end());
+    remove_sorted(waiting, admitted);
+    remove_sorted(displaced, replaced);
+    insert_sorted(served, placed);
 
     // Preemptions: placed streams the policy served last slot but left
     // idle this slot (displacements already zeroed their station above).
-    for (std::size_t j = 0; j < states.size(); ++j) {
-      const RequestState& st = states[j];
-      if (was_active[j] != 0 && !st.active_this_slot &&
-          st.phase == Phase::kServed && st.station >= 0) {
+    for (const int ji : prev_active) {
+      const RequestState& st = states[static_cast<std::size_t>(ji)];
+      if (!st.active_this_slot && st.phase == Phase::kServed &&
+          st.station >= 0) {
         om.sim_preemptions.add();
         if (tracing) {
-          tr.emit(obs::EventKind::kPreemption, static_cast<double>(j),
+          tr.emit(obs::EventKind::kPreemption, static_cast<double>(ji),
                   st.station);
         }
       }
     }
 
-    // 4. Per-station max-min fair allocation among active streams.
-    std::vector<std::vector<std::size_t>> residents(
-        static_cast<std::size_t>(topo_.num_stations()));
-    for (std::size_t j = 0; j < states.size(); ++j) {
-      if (states[j].active_this_slot && states[j].phase == Phase::kServed &&
-          states[j].station >= 0) {
-        residents[static_cast<std::size_t>(states[j].station)].push_back(j);
+    // 4. Per-station max-min fair allocation among active streams, in
+    // (station, request) order.
+    residents.clear();
+    for (const int ji : flags) {
+      const RequestState& st = states[static_cast<std::size_t>(ji)];
+      if (st.phase == Phase::kServed && st.station >= 0) {
+        residents.emplace_back(st.station, ji);
       }
     }
+    std::sort(residents.begin(), residents.end());
     double slot_reward = 0.0;
     double slot_allocated = 0.0;
-    for (int bs = 0; bs < topo_.num_stations(); ++bs) {
-      const auto& ids = residents[static_cast<std::size_t>(bs)];
-      if (ids.empty()) continue;
-      std::vector<double> demands;
-      demands.reserve(ids.size());
-      for (std::size_t j : ids) {
+    done.clear();
+    for (std::size_t k = 0; k < residents.size();) {
+      const int bs = residents[k].first;
+      demands.clear();
+      for (std::size_t e = k; e < residents.size() && residents[e].first == bs;
+           ++e) {
+        const RequestState& st =
+            states[static_cast<std::size_t>(residents[e].second)];
         demands.push_back(
-            std::min(states[j].demand_mhz,
-                     states[j].work_total - states[j].work_done));
+            std::min(st.demand_mhz, st.work_total - st.work_done));
       }
       // Capacity comes from the effective topology: a brownout shrinks the
       // pool every resident stream water-fills from.
-      const auto alloc =
-          waterfill(active->station(bs).capacity_mhz, demands);
-      for (std::size_t k = 0; k < ids.size(); ++k) {
-        RequestState& st = states[ids[k]];
-        st.work_done += alloc[k];
-        slot_allocated += alloc[k];
+      for (const double share :
+           waterfill(active->station(bs).capacity_mhz, demands)) {
+        const int ji = residents[k++].second;
+        const auto j = static_cast<std::size_t>(ji);
+        RequestState& st = states[j];
+        st.work_done += share;
+        slot_allocated += share;
         if (st.work_done >= st.work_total - 1e-9) {
           st.phase = Phase::kCompleted;
           om.sim_completions.add();
-          st.reward = requests[ids[k]].demand.level(st.realized_level).reward;
+          st.reward = requests[j].demand.level(st.realized_level).reward;
           slot_reward += st.reward;
           if (params_.collect_detail) {
             metrics.completed_latencies_ms.push_back(st.latency_ms);
           }
+          done.push_back(ji);
         }
       }
     }
+    std::sort(done.begin(), done.end());
+    remove_sorted(served, done);
     metrics.per_slot_reward[static_cast<std::size_t>(t)] = slot_reward;
     metrics.total_reward += slot_reward;
     om.sim_slot_reward.observe(slot_reward);
-    int active_streams = 0;
-    for (std::size_t j = 0; j < states.size(); ++j) {
-      const RequestState& st = states[j];
-      const bool active_now =
-          st.active_this_slot && st.phase == Phase::kServed;
-      active_streams += active_now ? 1 : 0;
-      was_active[j] = active_now ? 1 : 0;
+    prev_active.clear();
+    for (const int ji : flags) {
+      if (states[static_cast<std::size_t>(ji)].phase == Phase::kServed) {
+        prev_active.push_back(ji);
+      }
     }
     if (tracing) {
-      tr.emit(obs::EventKind::kSlotEnd, slot_reward, active_streams);
+      tr.emit(obs::EventKind::kSlotEnd, slot_reward,
+              static_cast<double>(prev_active.size()));
     }
     if (params_.collect_detail) {
       metrics.per_slot_utilization.push_back(
@@ -541,8 +701,8 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
 
   // Final accounting.
   double latency_total = 0.0;
-  for (std::size_t j = 0; j < requests.size(); ++j) {
-    if (requests[j].arrival_slot >= params_.horizon_slots) continue;
+  for (std::size_t j = 0; j < num_requests; ++j) {
+    if (requests[j].arrival_slot >= horizon) continue;
     if (params_.collect_detail && states[j].work_total > 0.0) {
       metrics.service_ratios.push_back(states[j].work_done /
                                        states[j].work_total);
@@ -576,7 +736,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   if (overlay) metrics.resilience.fault_epochs = overlay->epochs();
   if (tracing && epoch_index >= 0) {
     tr.emit(obs::EventKind::kFaultEpochEnd, epoch_index,
-            params_.horizon_slots - epoch_begin_slot);
+            horizon - epoch_begin_slot);
   }
   return metrics;
 }

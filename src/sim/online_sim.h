@@ -49,29 +49,15 @@ struct OnlineParams {
   /// Slot length: 0.05 s (section VI-A).
   double slot_ms = 50.0;
   core::AlgorithmParams alg;
-  /// Failure injection (empty = no outages). Kept as the simple legacy
-  /// interface; merged into `faults` at run time.
-  std::vector<StationOutage> outages;
-  /// Full fault scenario: brownouts, link outages/degradations, scripted
-  /// or chaos-generated (see sim/fault_plan.h).
+  /// Fault scenario (empty = healthy network): station outages, brownouts,
+  /// link outages/degradations and solver faults, scripted or
+  /// chaos-generated (see sim/fault_plan.h).
   FaultPlan faults;
   /// User mobility (empty = static users).
   std::vector<MobilityEvent> mobility;
   /// Record detailed series (per-slot utilization, latency samples,
   /// service ratios) for sim::summarize.
   bool collect_detail = false;
-  /// Slot-loop engine selection (sim/shard.h). The sharded engine
-  /// partitions the stations into shards owning their resident streams and
-  /// runs the per-slot admission/completion/displacement passes over live
-  /// requests only — O(live + changes) per slot instead of the legacy
-  /// O(|R|) scans — while producing BIT-IDENTICAL results at any shard
-  /// count (every floating-point reduction is merged in the legacy order).
-  ///   > 0  run sharded with that many shards (clamped to |BS|);
-  ///   = 0  consult the MECAR_SHARDS environment variable (unset, empty or
-  ///        <= 0 keeps the legacy loop) — this is the default, and how the
-  ///        golden suite re-runs unmodified binaries under sharding;
-  ///   < 0  force the legacy loop regardless of the environment.
-  int num_shards = 0;
 };
 
 /// Lifecycle of a request inside the simulator.
@@ -126,16 +112,9 @@ struct SlotView {
   /// is scripted for this slot.
   int lp_pivot_budget = 0;
   bool lp_fault = false;
-  /// Per-station demand of resident serving streams, precomputed by the
-  /// sharded engine from its per-shard resident lists (null in the legacy
-  /// loop, where resident_demand_mhz() derives it by scanning states).
-  const std::vector<double>* resident_demand = nullptr;
   /// Waiting time (ms) a request would have accumulated if first scheduled
   /// this slot.
   double waiting_ms(int request_index) const;
-  /// Residual capacity if only *resident, currently serving* streams are
-  /// counted at their realized demand.
-  std::vector<double> resident_demand_mhz() const;
   bool is_up(int station) const {
     return station_up.empty() ||
            station_up[static_cast<std::size_t>(station)] != 0;
@@ -230,12 +209,11 @@ struct OnlineMetrics {
 
 /// The complete canonical state of an online run at the top of one slot —
 /// everything the slot loop accumulates that is not a pure function of
-/// the inputs. Captured by either engine (legacy or sharded) and restored
-/// by either, so a run checkpointed under one engine resumes bit-identical
-/// under the other: derived structures (minimum latencies, shard resident
-/// lists, effective-topology caches, preemption flags) are reconstructed
-/// from these fields at restore. `sim::Checkpoint` (sim/checkpoint.h)
-/// owns the byte-level framing.
+/// the inputs. Derived structures (minimum latencies, the live request
+/// lists, the arrival cursor, effective-topology caches, preemption
+/// flags) are reconstructed from these fields at restore, so a resumed
+/// run is bit-identical to the uninterrupted one. `sim::Checkpoint`
+/// (sim/checkpoint.h) owns the byte-level framing.
 struct SimSnapshot {
   /// The slot the resumed loop executes first.
   int next_slot = 0;
@@ -261,9 +239,10 @@ struct SimSnapshot {
   std::vector<std::uint8_t> policy_state;
 };
 
-/// Observer the engines call at the TOP of each slot (before any of the
+/// Observer the slot loop calls at the TOP of each slot (before any of the
 /// slot's mutations), letting a checkpointing driver capture SimSnapshots
-/// at its own cadence without the engines knowing about files or framing.
+/// at its own cadence without the simulator knowing about files or
+/// framing.
 class SlotHook {
  public:
   virtual ~SlotHook() = default;
@@ -281,11 +260,14 @@ class OnlineSimulator {
                   std::vector<mec::ARRequest> requests,
                   std::vector<std::size_t> realized, OnlineParams params);
 
-  /// Runs the slot loop. `hook` (optional) observes slot tops for
-  /// checkpointing; `resume` (optional) continues from a captured
-  /// snapshot instead of slot 0, bit-identically to the uninterrupted
-  /// run. Throws std::invalid_argument when the snapshot's request count
-  /// does not match this simulator's workload.
+  /// Runs the slot loop. Each slot costs time in proportion to the live
+  /// requests (waiting, serving or displaced), not to the whole workload.
+  /// `hook` (optional) observes slot tops for checkpointing; `resume`
+  /// (optional) continues from a captured snapshot instead of slot 0,
+  /// bit-identically to the uninterrupted run. Throws
+  /// std::invalid_argument when the snapshot does not fit this simulator:
+  /// a different request count, horizon or station count, a next_slot
+  /// outside [0, horizon], or a station index out of range.
   OnlineMetrics run(OnlinePolicy& policy, SlotHook* hook = nullptr,
                     const SimSnapshot* resume = nullptr);
 

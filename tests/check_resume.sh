@@ -5,14 +5,11 @@
 # generation — and the resumed stdout must equal the uninterrupted one
 # byte for byte. Wall-clock runtime_ms tables are filtered on both sides;
 # everything else (rewards, latencies, regret series, resilience columns)
-# must reproduce exactly. The legacy-loop sweep also cross-checks the
-# serial checkpointed path against the pooled path, the whole sweep
-# repeats with the sharded slot loop forced on, and dedicated legs cover
-# cross-engine resume (killed legacy, resumed MECAR_SHARDS=8 —
-# SimSnapshot is engine-agnostic), a scripted FaultPlan `crash` line that
-# dies inside the faulted run (stage-2 resume with the cached reference
-# metrics), and a corrupted newest generation recovered from the previous
-# one.
+# must reproduce exactly. Each scenario also cross-checks the serial
+# checkpointed path against the pooled path, and dedicated legs cover a
+# scripted FaultPlan `crash` line that dies inside the faulted run
+# (stage-2 resume with the cached reference metrics) and a corrupted
+# newest generation recovered from the previous one.
 #
 #   tests/check_resume.sh [BUILD_DIR]   (default: build)
 set -u
@@ -35,18 +32,6 @@ filter() {
   awk '/: runtime_ms/{skip=1; next} skip && /^$/{skip=0; next} !skip' "$1"
 }
 
-# Run $cli under the engine selection in $1 ("" = leave MECAR_SHARDS
-# alone, i.e. the legacy slot loop; N = force the sharded loop).
-engine_run() {
-  _shards=$1
-  shift
-  if [ -n "$_shards" ]; then
-    MECAR_SHARDS=$_shards "$cli" "$@"
-  else
-    "$cli" "$@"
-  fi
-}
-
 crash_flag() {
   case "$1" in
     # fig3_offline has horizon 0 (no slots to crash in); kill between
@@ -63,74 +48,61 @@ mismatch() {
   fail=1
 }
 
-# check_scenario NAME CRASH_SHARDS RESUME_SHARDS
+# check_scenario NAME
 check_scenario() {
   name=$1
-  shards=$2
-  resume_shards=$3
-  tag=$name${shards:+-s$shards}
-  [ "$resume_shards" = "$shards" ] || tag=$tag-xr${resume_shards:-legacy}
   spec=$root/scenarios/$name.scenario
 
-  if ! engine_run "$shards" experiment --spec="$spec" \
-      --checkpoint-dir="$work/$tag-ref" --checkpoint-every=50 \
-      >"$work/$tag.ref" 2>/dev/null; then
-    echo "FAIL: $tag reference run" >&2
+  if ! "$cli" experiment --spec="$spec" \
+      --checkpoint-dir="$work/$name-ref" --checkpoint-every=50 \
+      >"$work/$name.ref" 2>/dev/null; then
+    echo "FAIL: $name reference run" >&2
     fail=1
     return
   fi
 
-  engine_run "$shards" experiment --spec="$spec" \
-    --checkpoint-dir="$work/$tag" --checkpoint-every=50 \
-    "$(crash_flag "$name")" >/dev/null 2>"$work/$tag.err"
+  "$cli" experiment --spec="$spec" \
+    --checkpoint-dir="$work/$name" --checkpoint-every=50 \
+    "$(crash_flag "$name")" >/dev/null 2>"$work/$name.err"
   if [ $? -ne 137 ]; then
-    echo "FAIL: $tag crash leg did not die with SIGKILL" >&2
+    echo "FAIL: $name crash leg did not die with SIGKILL" >&2
     fail=1
     return
   fi
-  if ! grep -q "injected crash" "$work/$tag.err"; then
-    echo "FAIL: $tag crash leg missing the injection notice" >&2
+  if ! grep -q "injected crash" "$work/$name.err"; then
+    echo "FAIL: $name crash leg missing the injection notice" >&2
     fail=1
     return
   fi
 
-  if ! engine_run "$resume_shards" experiment --spec="$spec" \
-      --checkpoint-dir="$work/$tag" --checkpoint-every=50 --resume \
-      >"$work/$tag.res" 2>/dev/null; then
-    echo "FAIL: $tag resume leg" >&2
+  if ! "$cli" experiment --spec="$spec" \
+      --checkpoint-dir="$work/$name" --checkpoint-every=50 --resume \
+      >"$work/$name.res" 2>/dev/null; then
+    echo "FAIL: $name resume leg" >&2
     fail=1
     return
   fi
-  if [ "$(filter "$work/$tag.ref")" != "$(filter "$work/$tag.res")" ]; then
-    mismatch "$tag resumed output differs from uninterrupted" \
-      "$work/$tag.ref" "$work/$tag.res"
+  if [ "$(filter "$work/$name.ref")" != "$(filter "$work/$name.res")" ]; then
+    mismatch "$name resumed output differs from uninterrupted" \
+      "$work/$name.ref" "$work/$name.res"
     return
   fi
 
-  # Legacy-loop pass doubles as the serial-vs-pooled equivalence check.
-  if [ -z "$shards" ] && [ -z "$resume_shards" ]; then
-    "$cli" experiment --spec="$spec" >"$work/$tag.pooled" 2>/dev/null
-    if [ "$(filter "$work/$tag.ref")" != "$(filter "$work/$tag.pooled")" ]; then
-      mismatch "$tag serial checkpointed output differs from pooled" \
-        "$work/$tag.pooled" "$work/$tag.ref"
-      return
-    fi
+  # The reference run doubles as the serial-vs-pooled equivalence check.
+  "$cli" experiment --spec="$spec" >"$work/$name.pooled" 2>/dev/null
+  if [ "$(filter "$work/$name.ref")" != "$(filter "$work/$name.pooled")" ]; then
+    mismatch "$name serial checkpointed output differs from pooled" \
+      "$work/$name.pooled" "$work/$name.ref"
+    return
   fi
-  echo "ok: $tag"
+  echo "ok: $name"
 }
 
 scenarios="fig3_offline fig4_online fig5_stations fig6_rate quality_metrics
 regret_growth regret_kappa resilience"
 
-echo "== kill-and-resume, legacy slot loop =="
-for name in $scenarios; do check_scenario "$name" "" ""; done
-
-echo "== kill-and-resume, sharded slot loop (MECAR_SHARDS=8) =="
-for name in $scenarios; do check_scenario "$name" 8 8; done
-
-echo "== cross-engine resume =="
-check_scenario fig4_online "" 8
-check_scenario regret_kappa 8 ""
+echo "== kill-and-resume =="
+for name in $scenarios; do check_scenario "$name"; done
 
 echo "== scripted FaultPlan crash through the faulted run =="
 cat >"$work/crash.plan" <<EOF

@@ -1,9 +1,9 @@
 // Tests for checkpoint orchestration (sim/checkpoint.h): mid-run
-// SimSnapshot capture via SlotHook and bit-identical resume — on the
-// legacy slot loop, on the sharded loop, and ACROSS engines (the snapshot
-// is canonical state, so a run checkpointed under one engine must resume
-// identically under the other) — plus byte-stable serialization of
-// SimSnapshot itself, the CheckpointStore generation ledger (atomic
+// SimSnapshot capture via SlotHook and bit-identical resume (and repeat
+// runs of one simulator), including a snapshot that crosses between a
+// fresh simulator and one that already ran, the rejection of snapshots
+// that do not fit the resuming simulator, plus byte-stable serialization
+// of SimSnapshot itself, the CheckpointStore generation ledger (atomic
 // writes, newest-first listing, prune-to-two retention), and the
 // corrupted-newest-generation fallback the resume ladder performs.
 //
@@ -41,8 +41,8 @@ exp::Instance busy_instance(unsigned seed, int horizon) {
 }
 
 /// Chaos the resume path must survive: outages, a brownout, a link cut,
-/// solver faults, and cross-shard mobility, all straddling the capture
-/// slot so in-flight fault state lands inside the snapshot.
+/// solver faults, and one-way mobility, all straddling the capture slot
+/// so in-flight fault state lands inside the snapshot.
 OnlineParams chaos_params(const exp::Instance& inst, int horizon) {
   OnlineParams params;
   params.horizon_slots = horizon;
@@ -94,29 +94,56 @@ void expect_identical(const OnlineMetrics& a, const OnlineMetrics& b,
   EXPECT_EQ(a.completed_latencies_ms, b.completed_latencies_ms) << label;
   EXPECT_EQ(a.per_slot_utilization, b.per_slot_utilization) << label;
   EXPECT_EQ(a.service_ratios, b.service_ratios) << label;
-  EXPECT_EQ(a.resilience.fault_epochs, b.resilience.fault_epochs) << label;
-  EXPECT_EQ(a.resilience.displaced_outage, b.resilience.displaced_outage)
-      << label;
-  EXPECT_EQ(a.resilience.recovered, b.resilience.recovered) << label;
-  EXPECT_EQ(a.resilience.mean_recovery_slots, b.resilience.mean_recovery_slots)
-      << label;
-  EXPECT_EQ(a.resilience.dropped_fault, b.resilience.dropped_fault) << label;
-  EXPECT_EQ(a.resilience.fault_dropped_expected_reward,
-            b.resilience.fault_dropped_expected_reward)
+  const ResilienceReport& ra = a.resilience;
+  const ResilienceReport& rb = b.resilience;
+  EXPECT_EQ(ra.fault_epochs, rb.fault_epochs) << label;
+  EXPECT_EQ(ra.displaced_outage, rb.displaced_outage) << label;
+  EXPECT_EQ(ra.displaced_partition, rb.displaced_partition) << label;
+  EXPECT_EQ(ra.recovered, rb.recovered) << label;
+  EXPECT_EQ(ra.mean_recovery_slots, rb.mean_recovery_slots) << label;
+  EXPECT_EQ(ra.unrecovered, rb.unrecovered) << label;
+  EXPECT_EQ(ra.dropped_starvation, rb.dropped_starvation) << label;
+  EXPECT_EQ(ra.dropped_fault, rb.dropped_fault) << label;
+  EXPECT_EQ(ra.dropped_partition, rb.dropped_partition) << label;
+  EXPECT_EQ(ra.fault_dropped_expected_reward, rb.fault_dropped_expected_reward)
       << label;
 }
 
-/// Runs uninterrupted; then runs again with a snapshot captured at
-/// `capture_slot` (under `capture_shards`), round-trips the snapshot
-/// through the binary frame, and resumes a THIRD simulator (under
-/// `resume_shards`) from the decoded copy. Both must match.
-void expect_resume_identical(const exp::Instance& inst,
-                             const OnlineParams& base, PolicyKind kind,
-                             int capture_shards, int resume_shards,
-                             int capture_slot, const char* label) {
-  OnlineParams params = base;
-  params.num_shards = capture_shards;
+TEST(OnlineSimulator, RepeatRunsAreIdentical) {
+  // One simulator, run twice under faults and one-way mobility. A re-home
+  // leaking from the first run into the simulator's workload would make
+  // the second run's moves no-ops and change its handovers.
+  const exp::Instance inst = busy_instance(11, 260);
+  OnlineSimulator sim(inst.topo, inst.requests, inst.realized,
+                      chaos_params(inst, 260));
+  const auto run = [&] {
+    const auto policy = make_policy(PolicyKind::kDynamicRr, inst.topo);
+    return sim.run(*policy);
+  };
+  const OnlineMetrics first = run();
+  const OnlineMetrics second = run();
+  EXPECT_GT(first.handovers, 0);
+  expect_identical(first, second, "DynamicRR/repeat");
+}
 
+/// What a crashed process reads back: the snapshot after a round trip
+/// through the binary frame.
+SimSnapshot disk_round_trip(const SimSnapshot& snap) {
+  util::SnapshotWriter w;
+  save_sim_snapshot(w, snap);
+  const std::vector<std::uint8_t> framed = w.finish(kMagic, kVersion);
+  util::SnapshotReader r(framed, kMagic, kVersion);
+  SimSnapshot decoded = load_sim_snapshot(r);
+  r.expect_end();
+  return decoded;
+}
+
+/// Runs uninterrupted; then runs again with a snapshot captured at
+/// `capture_slot`, round-trips the snapshot through the binary frame, and
+/// resumes a THIRD simulator from the decoded copy. Both must match.
+void expect_resume_identical(const exp::Instance& inst,
+                             const OnlineParams& params, PolicyKind kind,
+                             int capture_slot, const char* label) {
   OnlineSimulator full(inst.topo, inst.requests, inst.realized, params);
   auto full_policy = make_policy(kind, inst.topo);
   const OnlineMetrics uninterrupted = full.run(*full_policy);
@@ -131,40 +158,65 @@ void expect_resume_identical(const exp::Instance& inst,
 
   // The resumed run sees only what a crashed process would: the snapshot
   // after a disk round trip, and a freshly constructed policy.
-  util::SnapshotWriter w;
-  save_sim_snapshot(w, *hook.snap);
-  const std::vector<std::uint8_t> framed = w.finish(kMagic, kVersion);
-  util::SnapshotReader r(framed, kMagic, kVersion);
-  const SimSnapshot decoded = load_sim_snapshot(r);
-  r.expect_end();
-
-  params.num_shards = resume_shards;
+  const SimSnapshot decoded = disk_round_trip(*hook.snap);
   OnlineSimulator resumed(inst.topo, inst.requests, inst.realized, params);
   auto resumed_policy = make_policy(kind, inst.topo);
   const OnlineMetrics metrics = resumed.run(*resumed_policy, nullptr, &decoded);
   expect_identical(uninterrupted, metrics, label);
 }
 
+// The next three tests keep the names they had when mecar had two slot
+// engines; each still runs the instance it ran then, now on the one loop.
+
 TEST(CheckpointResume, LegacyEngineUnderChaos) {
   const exp::Instance inst = busy_instance(11, 260);
   expect_resume_identical(inst, chaos_params(inst, 260), PolicyKind::kDynamicRr,
-                          -1, -1, 115, "DynamicRR/legacy");
+                          115, "DynamicRR/seed 11");
   expect_resume_identical(inst, chaos_params(inst, 260), PolicyKind::kGreedy,
-                          -1, -1, 115, "Greedy/legacy");
+                          115, "Greedy/seed 11");
 }
 
 TEST(CheckpointResume, ShardedEngineUnderChaos) {
   const exp::Instance inst = busy_instance(13, 260);
   expect_resume_identical(inst, chaos_params(inst, 260), PolicyKind::kDynamicRr,
-                          5, 5, 115, "DynamicRR/sharded");
+                          115, "DynamicRR/seed 13");
 }
 
 TEST(CheckpointResume, CrossEngineBothDirections) {
+  // A snapshot is canonical state, not a view of the simulator that wrote
+  // it: one written by a simulator that already finished a run resumes on
+  // a fresh simulator, and one written by a fresh simulator resumes on the
+  // simulator that already ran. Under mobility, a run that leaked its
+  // re-homes or any other per-run state into the simulator would diverge.
   const exp::Instance inst = busy_instance(17, 260);
-  expect_resume_identical(inst, chaos_params(inst, 260), PolicyKind::kDynamicRr,
-                          -1, 5, 115, "DynamicRR/legacy->sharded");
-  expect_resume_identical(inst, chaos_params(inst, 260), PolicyKind::kDynamicRr,
-                          5, -1, 115, "DynamicRR/sharded->legacy");
+  const OnlineParams params = chaos_params(inst, 260);
+  const auto run = [&](OnlineSimulator& sim, SlotHook* hook,
+                       const SimSnapshot* resume) {
+    const auto policy = make_policy(PolicyKind::kDynamicRr, inst.topo);
+    return sim.run(*policy, hook, resume);
+  };
+
+  OnlineSimulator ran(inst.topo, inst.requests, inst.realized, params);
+  const OnlineMetrics uninterrupted = run(ran, nullptr, nullptr);
+  EXPECT_GT(uninterrupted.handovers, 0);
+
+  CaptureHook from_ran(115);
+  expect_identical(uninterrupted, run(ran, &from_ran, nullptr),
+                   "DynamicRR/capture after a run");
+  ASSERT_TRUE(from_ran.snap.has_value());
+  const SimSnapshot ran_snap = disk_round_trip(*from_ran.snap);
+  OnlineSimulator fresh(inst.topo, inst.requests, inst.realized, params);
+  expect_identical(uninterrupted, run(fresh, nullptr, &ran_snap),
+                   "DynamicRR/ran->fresh");
+
+  OnlineSimulator writer(inst.topo, inst.requests, inst.realized, params);
+  CaptureHook from_fresh(115);
+  expect_identical(uninterrupted, run(writer, &from_fresh, nullptr),
+                   "DynamicRR/capture on a fresh simulator");
+  ASSERT_TRUE(from_fresh.snap.has_value());
+  const SimSnapshot fresh_snap = disk_round_trip(*from_fresh.snap);
+  expect_identical(uninterrupted, run(ran, nullptr, &fresh_snap),
+                   "DynamicRR/fresh->ran");
 }
 
 TEST(CheckpointResume, CaptureSlotBoundaries) {
@@ -174,9 +226,9 @@ TEST(CheckpointResume, CaptureSlotBoundaries) {
   const exp::Instance inst = busy_instance(19, 120);
   OnlineParams params;
   params.horizon_slots = 120;
-  expect_resume_identical(inst, params, PolicyKind::kDynamicRr, -1, -1, 0,
+  expect_resume_identical(inst, params, PolicyKind::kDynamicRr, 0,
                           "DynamicRR/slot0");
-  expect_resume_identical(inst, params, PolicyKind::kDynamicRr, -1, -1, 119,
+  expect_resume_identical(inst, params, PolicyKind::kDynamicRr, 119,
                           "DynamicRR/last-slot");
 }
 
@@ -200,6 +252,67 @@ TEST(CheckpointResume, SnapshotRejectsMismatchedWorkload) {
   auto fresh = make_policy(PolicyKind::kGreedy, other.topo);
   EXPECT_THROW(mismatched.run(*fresh, nullptr, &*hook.snap),
                std::invalid_argument);
+}
+
+/// Captures Greedy's snapshot at the top of `slot`.
+SimSnapshot capture_greedy(const exp::Instance& inst,
+                           const OnlineParams& params, int slot) {
+  OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
+  auto policy = make_policy(PolicyKind::kGreedy, inst.topo);
+  CaptureHook hook(slot);
+  sim.run(*policy, &hook);
+  EXPECT_TRUE(hook.snap.has_value());
+  return hook.snap.value_or(SimSnapshot{});
+}
+
+OnlineMetrics resume_greedy(const exp::Instance& inst,
+                            const OnlineParams& params,
+                            const SimSnapshot& snap) {
+  OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
+  auto policy = make_policy(PolicyKind::kGreedy, inst.topo);
+  return sim.run(*policy, nullptr, &snap);
+}
+
+TEST(CheckpointResume, SnapshotRejectsMismatchedTopologyOrHorizon) {
+  OnlineParams params;
+  params.horizon_slots = 120;
+  const exp::Instance wide = busy_instance(31, 120);
+
+  // Same request count, half the stations: the snapshot's station
+  // availability covers 5 stations, the resuming topology has 10.
+  exp::InstanceConfig narrow_config;
+  narrow_config.num_requests = 200;
+  narrow_config.num_stations = 5;
+  narrow_config.horizon_slots = 120;
+  const exp::Instance narrow = exp::make_instance(31, narrow_config);
+  ASSERT_EQ(narrow.requests.size(), wide.requests.size());
+  const SimSnapshot narrow_snap = capture_greedy(narrow, params, 60);
+  EXPECT_THROW(resume_greedy(wide, params, narrow_snap),
+               std::invalid_argument);
+
+  // A 60-slot run's snapshot carries a 60-entry reward series; a 120-slot
+  // simulator would write past it.
+  OnlineParams short_params = params;
+  short_params.horizon_slots = 60;
+  const SimSnapshot short_snap = capture_greedy(wide, short_params, 30);
+  EXPECT_THROW(resume_greedy(wide, params, short_snap),
+               std::invalid_argument);
+
+  // Out-of-range slot and station indices are refused as well.
+  const SimSnapshot good = capture_greedy(wide, params, 60);
+  EXPECT_NO_THROW(resume_greedy(wide, params, good));
+  SimSnapshot bad = good;
+  bad.next_slot = params.horizon_slots + 1;
+  EXPECT_THROW(resume_greedy(wide, params, bad), std::invalid_argument);
+  bad = good;
+  bad.home_station[0] = wide.topo.num_stations();
+  EXPECT_THROW(resume_greedy(wide, params, bad), std::invalid_argument);
+  bad = good;
+  bad.states[0].station = wide.topo.num_stations();
+  EXPECT_THROW(resume_greedy(wide, params, bad), std::invalid_argument);
+  bad = good;
+  bad.prev_up.assign(3, 1);
+  EXPECT_THROW(resume_greedy(wide, params, bad), std::invalid_argument);
 }
 
 TEST(CheckpointSerialization, SimSnapshotReencodesByteStable) {
@@ -254,7 +367,8 @@ TEST(CheckpointStore, GenerationsNewestFirstAndPrunedToTwo) {
   EXPECT_EQ(gens[1], p2);
   EXPECT_THROW(CheckpointStore::read_file(p1), std::runtime_error);
 
-  util::SnapshotReader r(CheckpointStore::read_file(p3), kMagic, kVersion);
+  const std::vector<std::uint8_t> newest = CheckpointStore::read_file(p3);
+  util::SnapshotReader r(newest, kMagic, kVersion);
   EXPECT_EQ(r.u32(), 3u);
   r.expect_end();
 }
@@ -278,8 +392,8 @@ TEST(CheckpointStore, CorruptedNewestFallsBackToPrevious) {
   std::size_t rejected_at = 0;
   for (const std::string& path : store.generations()) {
     try {
-      util::SnapshotReader r(CheckpointStore::read_file(path), kMagic,
-                             kVersion);
+      const std::vector<std::uint8_t> bytes = CheckpointStore::read_file(path);
+      util::SnapshotReader r(bytes, kMagic, kVersion);
       recovered = r.str();
       r.expect_end();
       break;

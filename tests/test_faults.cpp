@@ -421,30 +421,5 @@ TEST(DropAttribution, ContentionDropStaysStarvation) {
   EXPECT_DOUBLE_EQ(m.resilience.fault_dropped_expected_reward, 0.0);
 }
 
-TEST(LinkFaults, LegacyOutagesAndFaultPlanAgree) {
-  // The legacy OnlineParams::outages list and the same outage expressed in
-  // the FaultPlan must produce identical runs.
-  const mec::Topology topo = two_stations();
-  std::vector<mec::ARRequest> requests{stream(0, 50.0, 0, 6)};
-
-  const auto run = [&](OnlineParams params) {
-    params.horizon_slots = 30;
-    OnlineSimulator sim(topo, requests, {0}, params);
-    PlaceAt1Policy policy;
-    return sim.run(policy);
-  };
-  OnlineParams legacy;
-  legacy.outages = {{1, 2, 10}};
-  OnlineParams scripted;
-  scripted.faults.station_outages = {{1, 2, 10}};
-  const auto a = run(legacy);
-  const auto b = run(scripted);
-  EXPECT_EQ(a.displaced, b.displaced);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_DOUBLE_EQ(a.total_reward, b.total_reward);
-  EXPECT_EQ(a.per_slot_reward, b.per_slot_reward);
-  EXPECT_EQ(a.resilience.displaced_outage, b.resilience.displaced_outage);
-}
-
 }  // namespace
 }  // namespace mecar::sim

@@ -106,38 +106,26 @@ TEST(Scenario, WriteReadRoundTrip) {
   EXPECT_DOUBLE_EQ(back.requests_per_slot, spec.requests_per_slot);
 }
 
-TEST(Scenario, ShardsAndIncrementalLpRoundTrip) {
+TEST(Scenario, IncrementalLpRoundTrip) {
   exp::ScenarioSpec spec;
-  spec.name = "sharded";
+  spec.name = "incremental";
   spec.axis = exp::SweepAxis::kRequests;
   spec.points = {10};
   spec.policies = {{"DynamicRR", ""}};
   spec.metrics = {"reward"};
-  spec.shards = 4;
   spec.rr.incremental_lp = true;
   std::stringstream text;
   exp::write_scenario(spec, text);
-  EXPECT_NE(text.str().find("shards 4"), std::string::npos);
   EXPECT_NE(text.str().find("incremental_lp true"), std::string::npos);
   const exp::ScenarioSpec back = exp::read_scenario(text);
-  EXPECT_EQ(back.shards, 4);
   EXPECT_TRUE(back.rr.incremental_lp);
 
-  // Defaults are omitted on write and the legacy force (-1) round-trips.
+  // The default is omitted on write.
   exp::ScenarioSpec plain = spec;
-  plain.shards = 0;
   plain.rr.incremental_lp = false;
   std::stringstream plain_text;
   exp::write_scenario(plain, plain_text);
-  EXPECT_EQ(plain_text.str().find("shards"), std::string::npos);
   EXPECT_EQ(plain_text.str().find("incremental_lp"), std::string::npos);
-  spec.shards = -1;
-  std::stringstream legacy_text;
-  exp::write_scenario(spec, legacy_text);
-  EXPECT_EQ(exp::read_scenario(legacy_text).shards, -1);
-
-  std::istringstream bad("name x\nshards -2\n");
-  EXPECT_THROW((void)exp::read_scenario(bad), exp::ScenarioParseError);
 }
 
 TEST(Scenario, InfiniteBandwidthRoundTrips) {

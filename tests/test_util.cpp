@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/cli.h"
 #include "util/log.h"
 #include "util/parse.h"
@@ -475,75 +474,6 @@ TEST(HistogramPercentile, RejectsBadInput) {
   const std::vector<std::uint64_t> empty_counts{0, 0, 0};
   EXPECT_THROW((void)histogram_percentile(boundaries, empty_counts, 50.0),
                std::invalid_argument);
-}
-
-TEST(Arena, BumpAllocationIsDisjointAndAligned) {
-  Arena arena(/*chunk_bytes=*/128);
-  double* a = arena.allocate_array<double>(4);
-  double* b = arena.allocate_array<double>(4);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(double), 0u);
-  // The two arrays must not overlap.
-  EXPECT_TRUE(b >= a + 4 || a >= b + 4);
-  a[0] = 1.5;
-  b[0] = 2.5;
-  EXPECT_EQ(a[0], 1.5);
-  EXPECT_EQ(b[0], 2.5);
-}
-
-TEST(Arena, ResetRecyclesCapacityWithoutNewChunks) {
-  Arena arena(/*chunk_bytes=*/256);
-  // Warm up past one chunk so the slow path runs at least once.
-  for (int i = 0; i < 32; ++i) (void)arena.allocate_array<double>(8);
-  const std::size_t chunks_after_warmup = arena.num_chunks();
-  const std::size_t capacity = arena.capacity_bytes();
-  EXPECT_GT(chunks_after_warmup, 1u);
-  for (int round = 0; round < 5; ++round) {
-    arena.reset();
-    EXPECT_EQ(arena.used_bytes(), 0u);
-    for (int i = 0; i < 32; ++i) (void)arena.allocate_array<double>(8);
-    // Same allocation pattern after reset: no heap growth.
-    EXPECT_EQ(arena.num_chunks(), chunks_after_warmup);
-    EXPECT_EQ(arena.capacity_bytes(), capacity);
-  }
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedChunk) {
-  Arena arena(/*chunk_bytes=*/64);
-  std::byte* big = arena.allocate_array<std::byte>(1024);
-  ASSERT_NE(big, nullptr);
-  big[0] = std::byte{0xff};
-  big[1023] = std::byte{0x01};
-  EXPECT_GE(arena.capacity_bytes(), 1024u);
-}
-
-TEST(Arena, ReleaseDropsCapacity) {
-  Arena arena;
-  (void)arena.allocate(100);
-  EXPECT_GT(arena.capacity_bytes(), 0u);
-  arena.release();
-  EXPECT_EQ(arena.capacity_bytes(), 0u);
-  EXPECT_EQ(arena.num_chunks(), 0u);
-  // Usable again after release.
-  int* p = arena.allocate_array<int>(10);
-  ASSERT_NE(p, nullptr);
-  p[9] = 7;
-  EXPECT_EQ(p[9], 7);
-}
-
-TEST(Arena, ArenaVectorUsesArenaStorage) {
-  Arena arena;
-  ArenaVector<int> v{ArenaAllocator<int>(arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 1000u);
-  EXPECT_EQ(v[999], 999);
-  EXPECT_GT(arena.used_bytes(), 1000u * sizeof(int) - 1);
-  // Rebind through a pair-like type compiles and shares the arena.
-  ArenaAllocator<double> rebound{ArenaAllocator<int>(arena)};
-  EXPECT_TRUE(rebound == ArenaAllocator<double>(arena));
 }
 
 }  // namespace

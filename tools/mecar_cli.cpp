@@ -744,14 +744,6 @@ int cmd_experiment(const util::Cli& cli) {
     }
     runner.set_lp_budget(pivots);
   }
-  if (cli.has("shards")) {
-    const int shards = static_cast<int>(cli.get_int_or("shards", 0));
-    if (shards < -1) {
-      std::cerr << "mecar_cli: --shards must be >= -1\n";
-      return 1;
-    }
-    runner.set_shards(shards);
-  }
   exp::CheckpointOptions checkpoint;
   checkpoint.dir = cli.get_or("checkpoint-dir", "");
   checkpoint.every_slots =
@@ -851,7 +843,7 @@ int cmd_list(const util::Cli&) {
       "  threshold_range kappa scale_thresholds threshold_headroom\n"
       "  rounding_divisor backfill enforce_backhaul backhaul_audit\n"
       "  collect_detail requests_per_slot lp_max_iterations lp_budget\n"
-      "  shards incremental_lp\n";
+      "  incremental_lp\n";
   return 0;
 }
 
@@ -866,7 +858,6 @@ void usage() {
       "[--emit-plan]\n"
       "  experiment:   --spec=FILE [--seeds=N] [--horizon=N] "
       "[--lp-budget=N]\n"
-      "                [--shards=N]  (sharded slot loop; -1 forces legacy)\n"
       "                [--json[=PATH]]\n"
       "                [--metrics-out=FILE(.prom|.json)] "
       "[--trace-out=FILE]\n"
