@@ -3,10 +3,8 @@
 // most of the horizon is steady-state drain: a slot where little changes
 // must cost O(changes), not O(|R|) rescans of every request.
 //
-// Two runs over common random numbers:
-//   scratch     — DynamicRR building every slot LP from scratch (default),
-//   incremental — DynamicRR with the incremental slot-LP pipeline on
-//                 (objective-equal, tie-breaks may differ).
+// One leg, `scratch`: DynamicRR at its defaults, which build every slot LP
+// from scratch.
 //
 // Slot latency comes from the obs exporters: the sim.slot_wall_ms
 // histogram is reset before each run and its p50/p95/p99 are read back
@@ -16,7 +14,7 @@
 //   ./bench/scale [--smoke] [--stations=N] [--requests=N] [--horizon=T]
 //                 [--window=W] [--seeds=S] [--snapshot[=PATH]]
 //
-// Every run checks that each leg conserves requests (completed + dropped
+// Every run checks that the leg conserves requests (completed + dropped
 // + unfinished == arrived) and saw every slot, and exits 1 otherwise;
 // --smoke reports the outcome. --snapshot writes BENCH_scale.json.
 #include <algorithm>
@@ -52,12 +50,10 @@ struct LegRun {
   double p99 = 0.0;
   double max = 0.0;
   double slots = 0.0;
-  long long lp_delta_builds = 0;
-  long long lp_full_builds = 0;
 };
 
-LegRun run_leg(const exp::Instance& inst, int horizon, bool incremental_lp,
-               int seeds, std::string label) {
+LegRun run_leg(const exp::Instance& inst, int horizon, int seeds,
+               std::string label) {
   LegRun out;
   out.label = std::move(label);
   // Pool the per-slot samples of every seed into one histogram so the
@@ -66,9 +62,8 @@ LegRun run_leg(const exp::Instance& inst, int horizon, bool incremental_lp,
   for (int s = 0; s < seeds; ++s) {
     sim::OnlineParams params;
     params.horizon_slots = horizon;
-    sim::DynamicRrParams rr;
-    rr.incremental_lp = incremental_lp;
-    sim::DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{}, rr,
+    sim::DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{},
+                                sim::DynamicRrParams{},
                                 util::Rng(static_cast<unsigned>(s) + 1u));
     sim::OnlineSimulator simulator(inst.topo, inst.requests, inst.realized,
                                    params);
@@ -80,8 +75,6 @@ LegRun run_leg(const exp::Instance& inst, int horizon, bool incremental_lp,
     out.completed += static_cast<double>(metrics.completed);
     out.drops += static_cast<double>(metrics.dropped);
     out.unfinished += static_cast<double>(metrics.unfinished);
-    out.lp_delta_builds += policy.incremental_lp_stats().delta_builds;
-    out.lp_full_builds += policy.incremental_lp_stats().full_builds;
   }
   const obs::MetricsSnapshot snap = obs::registry().snapshot();
   if (const obs::HistogramSnapshot* h =
@@ -100,12 +93,7 @@ void print_run(const LegRun& r) {
             << r.p95 << " / " << r.p99 << " ms  (max " << r.max << ", "
             << r.slots << " slots, total " << r.total_ms
             << " ms)  reward=" << r.reward << " completed=" << r.completed
-            << " drops=" << r.drops;
-  if (r.lp_delta_builds + r.lp_full_builds > 0) {
-    std::cout << "  lp full/delta=" << r.lp_full_builds << "/"
-              << r.lp_delta_builds;
-  }
-  std::cout << '\n';
+            << " drops=" << r.drops << '\n';
 }
 
 /// Counts this leg's failed checks, reporting each on stderr.
@@ -142,8 +130,6 @@ void write_run(util::JsonWriter& w, const LegRun& r) {
   w.field("reward", r.reward);
   w.field("completed", r.completed);
   w.field("drops", r.drops);
-  w.field("lp_full_builds", static_cast<double>(r.lp_full_builds));
-  w.field("lp_delta_builds", static_cast<double>(r.lp_delta_builds));
   w.end_object();
 }
 
@@ -178,13 +164,9 @@ int main(int argc, char** argv) {
               << " slots, " << seeds << " seed(s)\n";
     const exp::Instance inst = exp::make_instance(1u, config);
 
-    const LegRun scratch = run_leg(inst, horizon, false, seeds, "scratch");
-    const LegRun incremental =
-        run_leg(inst, horizon, true, seeds, "incremental");
+    const LegRun scratch = run_leg(inst, horizon, seeds, "scratch");
     print_run(scratch);
-    print_run(incremental);
-    const int failures = check_run(scratch, horizon, seeds) +
-                         check_run(incremental, horizon, seeds);
+    const int failures = check_run(scratch, horizon, seeds);
 
     if (cli.has("snapshot")) {
       const std::string path = cli.get_or("snapshot", "").empty()
@@ -200,7 +182,6 @@ int main(int argc, char** argv) {
       w.field("seeds", seeds);
       w.key("legs").begin_object();
       write_run(w, scratch);
-      write_run(w, incremental);
       w.end_object();
       w.end_object();
       w.done();

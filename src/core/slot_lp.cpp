@@ -99,7 +99,7 @@ SlotLpInstance build_slot_lp(const mec::Topology& topo,
   };
   auto waiting_of = [&](std::size_t j) {
     return options.waiting_ms_per_request.empty()
-               ? options.waiting_ms
+               ? 0.0
                : options.waiting_ms_per_request[j];
   };
   inst.slots_per_station.resize(static_cast<std::size_t>(num_stations));

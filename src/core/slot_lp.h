@@ -64,11 +64,9 @@ struct SlotLpOptions {
   /// E[min(share_cap_mhz(bs)/C_unit, rho, l C_l/C_unit)]. Disabled when
   /// empty. The value is the per-request capacity share C(bs_i)/|R_t|.
   std::optional<double> share_cap_mhz;
-  /// Additional waiting delay already incurred (online problem); counts
-  /// against the latency budget when filtering placements.
-  double waiting_ms = 0.0;
-  /// Per-request waiting delays overriding `waiting_ms` (same order as the
-  /// requests vector; empty = use waiting_ms for all).
+  /// Per-request waiting delay already incurred (online problem), in the
+  /// order of the requests vector; counts against the latency budget when
+  /// filtering placements. Empty = no request has waited.
   std::vector<double> waiting_ms_per_request;
   /// Residual station capacities in MHz (online problem: capacity already
   /// occupied by resident streams is unavailable). Empty = full capacity.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -135,6 +136,11 @@ ScenarioSpec read_scenario(std::istream& is) {
       const auto v = util::parse_int(args[k]);
       if (!v) {
         throw fail(std::string(field) + " is not an integer: '" + args[k] +
+                   "'");
+      }
+      if (*v < std::numeric_limits<int>::min() ||
+          *v > std::numeric_limits<int>::max()) {
+        throw fail(std::string(field) + " is out of range: '" + args[k] +
                    "'");
       }
       return static_cast<int>(*v);
@@ -335,9 +341,6 @@ ScenarioSpec read_scenario(std::istream& is) {
           throw fail("lp_budget deadline_ms must be > 0");
         }
       }
-    } else if (key == "incremental_lp") {
-      want_args(1);
-      spec.rr.incremental_lp = bool_arg(0, "incremental_lp");
     } else {
       throw fail("unknown key '" + key + "'");
     }
@@ -449,7 +452,6 @@ void write_scenario(const ScenarioSpec& spec, std::ostream& os) {
     }
     os << '\n';
   }
-  if (spec.rr.incremental_lp) os << "incremental_lp true\n";
 }
 
 }  // namespace mecar::exp

@@ -48,9 +48,6 @@
 //                                   #   optional wall-clock deadline (ms);
 //                                   #   exhausting it keeps the best
 //                                   #   feasible iterate (kDeadline)
-//   incremental_lp true             # delta-build the slot LP-PT across
-//                                   #   slots (objective-equal, tie-breaks
-//                                   #   may differ from scratch builds)
 #pragma once
 
 #include <iosfwd>

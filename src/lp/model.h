@@ -42,17 +42,10 @@ struct Variable {
   bool integral = false;
 };
 
-/// One nonzero of a column, used by `Model::add_column` (the transpose of
-/// `Term`: names a row instead of a column).
-struct ColumnEntry {
-  int row = 0;
-  double coeff = 0.0;
-};
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// A mutable LP/MIP model. Column and row indices are stable and returned
-/// from the add_* calls.
+/// An LP/MIP model built by appending variables and rows. Column and row
+/// indices are returned from the add_* calls.
 class Model {
  public:
   /// Adds a variable; returns its column index.
@@ -63,38 +56,6 @@ class Model {
   /// columns are merged; zero coefficients are dropped.
   int add_constraint(std::string name, Sense sense, double rhs,
                      std::vector<Term> terms);
-
-  // --- Incremental mutation API -------------------------------------------
-  // The slot LPs of consecutive simulator slots differ by a handful of
-  // arrivals/completions/displacements; these edits let core rewrite just
-  // the delta instead of rebuilding every ER_jil column. Column and row
-  // indices stay stable across every mutation.
-
-  /// Appends a variable together with its coefficients in existing rows
-  /// (the column-wise transpose of add_variable + add_constraint edits).
-  /// Duplicate rows are merged; zero coefficients dropped. O(nnz(column)
-  /// amortized. Returns the new column index.
-  int add_column(std::string name, double objective, double upper,
-                 const std::vector<ColumnEntry>& entries);
-
-  /// Removes column `col` from the model: its upper bound and objective
-  /// drop to 0 and its terms are struck from every row it appears in, so
-  /// solvers treat it as absent (its solution value reports 0). The index
-  /// stays valid — later columns do not shift. O(nnz(col) + touched row
-  /// sizes) via the per-column row index, not O(model).
-  void remove_column(int col);
-
-  /// Rewrites the upper bound of `col` (must be >= 0). Setting 0 freezes
-  /// the variable without touching rows; a later positive bound revives it
-  /// only if its terms were never struck (i.e. prefer this over
-  /// remove_column for temporary freezes).
-  void update_bound(int col, double upper);
-
-  /// Rewrites the objective coefficient of `col`.
-  void update_objective(int col, double objective);
-
-  /// Rewrites the right-hand side of row `r`.
-  void update_rhs(int row, double rhs);
 
   int num_variables() const noexcept { return static_cast<int>(vars_.size()); }
   int num_constraints() const noexcept {
@@ -137,9 +98,6 @@ class Model {
   std::vector<Row> rows_;
   std::vector<double> fixed_values_;  // NaN = free
   double fixed_objective_ = 0.0;
-  /// Rows each column appears in (ascending), maintained by every term
-  /// edit — the index that makes remove_column O(nnz) instead of O(rows).
-  std::vector<std::vector<int>> col_rows_;
 };
 
 }  // namespace mecar::lp

@@ -90,8 +90,6 @@ class Engine {
   bool recover_in_place();
   void cold_start();
   bool adopt_warm_basis(const WarmStartBasis& warm);
-  bool repair_warm_basis(const Model& model, const WarmStartBasis& warm,
-                         WarmStartBasis& repaired) const;
   void compute_xb();
   void compute_y(const std::vector<double>& costs);
   int price(const std::vector<double>& costs, bool bland) const;
@@ -287,9 +285,9 @@ void Engine::compute_xb() {
 
 bool Engine::refactorize() {
   if (!lu_.factorize(cols_, basis_, kFactorPivotTol)) {
-    // While adopting a warm (possibly shape-repaired) basis a singular
-    // factorization is an expected outcome with a clean fallback (cold
-    // start), not an anomaly worth a per-occurrence warning.
+    // While adopting a warm basis a singular factorization is an expected
+    // outcome with a clean fallback (cold start), not an anomaly worth a
+    // per-occurrence warning.
     if (adopting_warm_) {
       util::log_debug() << "revised simplex: singular warm basis; cold start";
     } else {
@@ -372,93 +370,6 @@ void Engine::cold_start() {
     gamma_[static_cast<std::size_t>(j)] = 1.0 + norm2;
   }
   gamma_exact_ = true;
-}
-
-bool Engine::repair_warm_basis(const Model& model, const WarmStartBasis& warm,
-                               WarmStartBasis& repaired) const {
-  // The tableau shapes diverged because the model mutated between solves
-  // (columns added/removed, delta rows appended through the Model
-  // incremental API). Remap the exported basis onto this layout instead of
-  // discarding it: structural columns through the model-column snapshot,
-  // slacks by ordinal (row order is append-only under the delta protocol),
-  // and a vanished basic column by its row's own slack. The remap is only
-  // a candidate — adopt_warm_basis still factorizes and bound-checks it
-  // and falls back to the cold start when the guess does not hold.
-  const int m_old = warm.m;
-  const int n_live_old = static_cast<int>(warm.model_cols.size());
-  if (m_old > m_ || static_cast<int>(warm.basis.size()) != m_old) return false;
-  const int n_model = model.num_variables();
-  const int n_live = static_cast<int>(tab_to_model_.size());
-  const int n_slack = art_begin_ - n_live;
-
-  std::vector<int> live(static_cast<std::size_t>(n_model), -1);
-  for (int c = 0; c < n_live; ++c) {
-    live[static_cast<std::size_t>(tab_to_model_[static_cast<std::size_t>(c)])] =
-        c;
-  }
-  // Slack tableau index of each row (-1 for equality rows). Slacks are
-  // numbered per non-Eq row in row order, and rhs normalization never
-  // changes whether a row has a slack, so ordinals are stable as long as
-  // rows only get appended.
-  std::vector<int> row_slack(static_cast<std::size_t>(m_), -1);
-  {
-    int s = 0, r = 0;
-    for (const Row& row : model.rows()) {
-      if (row.sense != Sense::kEq) {
-        row_slack[static_cast<std::size_t>(r)] = n_live + s++;
-      }
-      ++r;
-    }
-  }
-
-  std::vector<char> used(static_cast<std::size_t>(art_begin_), 0);
-  std::vector<int> basis(static_cast<std::size_t>(m_), -1);
-  for (int r = 0; r < m_old; ++r) {
-    const int b = warm.basis[static_cast<std::size_t>(r)];
-    int nb = -1;
-    if (b >= 0 && b < n_live_old) {
-      const int col = warm.model_cols[static_cast<std::size_t>(b)];
-      if (col >= 0 && col < n_model) nb = live[static_cast<std::size_t>(col)];
-      // The basic column was removed from the model: substitute the row's
-      // own slack and let the factorization check vet the result.
-      if (nb < 0) nb = row_slack[static_cast<std::size_t>(r)];
-    } else if (b >= n_live_old) {
-      const int s = b - n_live_old;
-      if (s < n_slack) nb = n_live + s;
-    }
-    if (nb < 0 || nb >= art_begin_ || used[static_cast<std::size_t>(nb)]) {
-      return false;
-    }
-    used[static_cast<std::size_t>(nb)] = 1;
-    basis[static_cast<std::size_t>(r)] = nb;
-  }
-  // Appended delta rows enter with their own slack basic — the cold choice
-  // for a <= row. An appended equality row has no slack; repair fails and
-  // the solve cold-starts.
-  for (int r = m_old; r < m_; ++r) {
-    const int nb = row_slack[static_cast<std::size_t>(r)];
-    if (nb < 0 || used[static_cast<std::size_t>(nb)]) return false;
-    used[static_cast<std::size_t>(nb)] = 1;
-    basis[static_cast<std::size_t>(r)] = nb;
-  }
-
-  repaired.m = m_;
-  repaired.total_cols = total_cols_;
-  repaired.basis = std::move(basis);
-  repaired.at_upper.assign(static_cast<std::size_t>(total_cols_), 0);
-  if (!warm.at_upper.empty()) {
-    for (int j = 0; j < n_live_old &&
-                    j < static_cast<int>(warm.at_upper.size());
-         ++j) {
-      if (warm.at_upper[static_cast<std::size_t>(j)] == 0) continue;
-      const int col = warm.model_cols[static_cast<std::size_t>(j)];
-      const int nb =
-          (col >= 0 && col < n_model) ? live[static_cast<std::size_t>(col)] : -1;
-      if (nb >= 0) repaired.at_upper[static_cast<std::size_t>(nb)] = 1;
-    }
-  }
-  repaired.model_cols = tab_to_model_;
-  return true;
 }
 
 bool Engine::adopt_warm_basis(const WarmStartBasis& warm) {
@@ -902,24 +813,13 @@ SolveResult Engine::run_attempt(const Model& model, WarmStartBasis* warm,
                               : 200 * (m_ + total_cols_) + 2000;
 
   // Warm start: re-enter at the previous solve's basis when the tableau
-  // kept its shape, or repair the basis onto the new shape when the model
-  // mutated through the incremental API. An adopted basis is
-  // artificial-free and feasible for the bounds, so phase 1 is provably
-  // unnecessary.
-  if (allow_warm && warm != nullptr && !warm->empty()) {
-    if (warm->m == m_ && warm->total_cols == total_cols_) {
-      result.stats.warm_start_attempted = true;
-      result.warm_started = adopt_warm_basis(*warm);
-      result.stats.warm_start_used = result.warm_started;
-    } else if (opt_.repair_warm_basis && !warm->model_cols.empty()) {
-      WarmStartBasis repaired;
-      if (repair_warm_basis(model, *warm, repaired)) {
-        result.stats.warm_start_attempted = true;
-        result.stats.warm_start_repaired = true;
-        result.warm_started = adopt_warm_basis(repaired);
-        result.stats.warm_start_used = result.warm_started;
-      }
-    }
+  // kept its shape. An adopted basis is artificial-free and feasible for
+  // the bounds, so phase 1 is provably unnecessary.
+  if (allow_warm && warm != nullptr && !warm->empty() && warm->m == m_ &&
+      warm->total_cols == total_cols_) {
+    result.stats.warm_start_attempted = true;
+    result.warm_started = adopt_warm_basis(*warm);
+    result.stats.warm_start_used = result.warm_started;
   }
   if (!result.warm_started) cold_start();
 
@@ -973,7 +873,6 @@ SolveResult Engine::run_attempt(const Model& model, WarmStartBasis* warm,
     warm->total_cols = total_cols_;
     warm->basis = basis_;
     warm->at_upper = at_upper_;
-    warm->model_cols = tab_to_model_;
   }
   extract_solution(model, result);
   return result;

@@ -1,9 +1,5 @@
 #include "lp/serialize.h"
 
-#include <cstdint>
-#include <stdexcept>
-
-#include "lp/model.h"
 #include "lp/revised_simplex.h"
 #include "util/snapshot.h"
 
@@ -14,7 +10,6 @@ void save_basis(const WarmStartBasis& basis, util::SnapshotWriter& w) {
   w.i32(basis.total_cols);
   w.vec(basis.basis, [&](int b) { w.i32(b); });
   w.vec(basis.at_upper, [&](char u) { w.boolean(u != 0); });
-  w.vec(basis.model_cols, [&](int c) { w.i32(c); });
 }
 
 WarmStartBasis load_basis(util::SnapshotReader& r) {
@@ -24,68 +19,7 @@ WarmStartBasis load_basis(util::SnapshotReader& r) {
   basis.basis = r.vec<int>([&] { return r.i32(); });
   basis.at_upper =
       r.vec<char>([&] { return static_cast<char>(r.boolean() ? 1 : 0); });
-  basis.model_cols = r.vec<int>([&] { return r.i32(); });
   return basis;
-}
-
-void save_model(const Model& model, util::SnapshotWriter& w) {
-  for (int col = 0; col < model.num_variables(); ++col) {
-    if (model.is_fixed(col)) {
-      throw std::logic_error("save_model: fixed variables unsupported");
-    }
-  }
-  if (model.fixed_objective() != 0.0) {
-    throw std::logic_error("save_model: fixed objective unsupported");
-  }
-  w.vec(model.variables(), [&](const Variable& v) {
-    w.str(v.name);
-    w.f64(v.objective);
-    w.f64(v.upper);
-    w.boolean(v.integral);
-  });
-  w.vec(model.rows(), [&](const Row& row) {
-    w.str(row.name);
-    w.u8(static_cast<std::uint8_t>(row.sense));
-    w.f64(row.rhs);
-    w.vec(row.terms, [&](const Term& t) {
-      w.i32(t.col);
-      w.f64(t.coeff);
-    });
-  });
-}
-
-Model load_model(util::SnapshotReader& r) {
-  Model model;
-  const std::uint64_t num_vars = r.u64();
-  for (std::uint64_t i = 0; i < num_vars; ++i) {
-    std::string name = r.str();
-    const double objective = r.f64();
-    const double upper = r.f64();
-    const bool integral = r.boolean();
-    model.add_variable(std::move(name), objective, upper, integral);
-  }
-  const std::uint64_t num_rows = r.u64();
-  for (std::uint64_t i = 0; i < num_rows; ++i) {
-    std::string name = r.str();
-    const std::uint8_t sense = r.u8();
-    if (sense > static_cast<std::uint8_t>(Sense::kGe)) {
-      throw util::SnapshotParseError(r.offset(), "load_model: bad row sense");
-    }
-    const double rhs = r.f64();
-    std::vector<Term> terms = r.vec<Term>([&] {
-      Term t;
-      t.col = r.i32();
-      t.coeff = r.f64();
-      if (t.col < 0 || t.col >= model.num_variables()) {
-        throw util::SnapshotParseError(r.offset(),
-                                       "load_model: term column out of range");
-      }
-      return t;
-    });
-    model.add_constraint(std::move(name), static_cast<Sense>(sense), rhs,
-                         std::move(terms));
-  }
-  return model;
 }
 
 }  // namespace mecar::lp

@@ -1,16 +1,11 @@
 // Snapshot serialization for LP objects (DESIGN.md §14).
 //
-// DynamicRR's checkpoint embeds its warm-start basis and the incremental
-// slot-LP's live Model so a resumed run re-enters the solver with the
-// exact tableau history an uninterrupted run would have — vertex
-// selection under degeneracy depends on the starting basis, so dropping
-// it would still be *correct* but not bit-identical.
-//
-// Models are rebuilt through the public builder API (add_variable /
-// add_constraint), which reproduces the internal column-row index
-// exactly. Fixed-variable state (Model::with_fixed) is not supported:
-// slot LPs never fix columns, and save_model throws std::logic_error if
-// one does.
+// DynamicRR's checkpoint embeds its warm-start basis so a resumed run
+// re-enters the solver from the basis an uninterrupted run would have
+// carried: vertex selection under degeneracy depends on the starting
+// basis, so dropping it would still be *correct* but not bit-identical.
+// The slot LP itself is rebuilt from scratch every slot and is never
+// serialized.
 #pragma once
 
 namespace mecar::util {
@@ -20,16 +15,10 @@ class SnapshotReader;
 
 namespace mecar::lp {
 
-class Model;
 struct WarmStartBasis;
 
 /// Serializes a warm-start basis (possibly empty).
 void save_basis(const WarmStartBasis& basis, util::SnapshotWriter& w);
 WarmStartBasis load_basis(util::SnapshotReader& r);
-
-/// Serializes a model's variables and rows. Throws std::logic_error when
-/// the model carries fixed-variable state (not used by slot LPs).
-void save_model(const Model& model, util::SnapshotWriter& w);
-Model load_model(util::SnapshotReader& r);
 
 }  // namespace mecar::lp

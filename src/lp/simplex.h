@@ -89,10 +89,6 @@ struct SolveStats {
   bool warm_start_attempted = false;
   /// The offered basis was adopted (phase 1 skipped).
   bool warm_start_used = false;
-  /// The offered basis came from a different tableau shape and was
-  /// remapped onto this model's layout (warm-basis repair after the
-  /// incremental mutation API changed columns/rows) before adoption.
-  bool warm_start_repaired = false;
   /// Pivots absorbed as eta-file updates, i.e. without refactorizing
   /// (revised simplex only). Nonzero means the factorization was reused
   /// across pivots, the whole point of the eta scheme.

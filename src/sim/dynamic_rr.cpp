@@ -285,23 +285,8 @@ void DynamicRrPolicy::admit_new(const mec::Topology& topo,
   placement.assign(ids.size(), -1);
   std::vector<double>& placement_lat = scratch_placement_lat_;
   placement_lat.assign(ids.size(), 0.0);
-  // Incremental path: mutate the previous slot's model by the batch delta.
-  // Only taken when the slot's topology IS the policy's own base topology:
-  // a chaos overlay mutates the effective-topology object in place between
-  // epochs, which a pointer-identity cache cannot observe — scratch-build
-  // there. (The builder itself additionally falls back to a full rebuild
-  // whenever the residual capacities or the share cap moved, so the delta
-  // path pays off in the idle and saturated phases where consecutive slots
-  // keep their residuals.)
-  const bool use_incremental = params_.incremental_lp && &topo == &topo_;
-  core::SlotLpInstance scratch;
-  if (!use_incremental) {
-    incremental_.invalidate();
-    scratch = core::build_slot_lp(topo, batch, alg_, options);
-  }
-  const core::SlotLpInstance& inst =
-      use_incremental ? incremental_.build(topo, batch, alg_, options)
-                      : scratch;
+  const core::SlotLpInstance inst =
+      core::build_slot_lp(topo, batch, alg_, options);
   // Degradation-ladder rung of this decision; greedy until an LP solution
   // actually lands.
   int level = 3;
@@ -313,10 +298,6 @@ void DynamicRrPolicy::admit_new(const mec::Topology& topo,
     // Effective anytime budget: the tighter of the configured pivot
     // budget and a scripted per-slot solver squeeze (sim/fault_plan.h).
     lp::RevisedSimplexOptions ropt = slot_lp_options(params_);
-    // Warm-basis repair across batch-shape changes rides with the
-    // incremental pipeline: both trade the cold start's historical pivot
-    // path for reuse, so they share the opt-in.
-    ropt.repair_warm_basis = use_incremental;
     ropt.budget.max_pivots = params_.lp_pivot_budget;
     if (view.lp_pivot_budget > 0 &&
         (ropt.budget.max_pivots == 0 ||
@@ -326,16 +307,8 @@ void DynamicRrPolicy::admit_new(const mec::Topology& topo,
     ropt.budget.deadline_ms = params_.lp_deadline_ms;
     if (view.lp_fault) ropt.inject_nan_at_pivot = 1;
 
-    lp::SolveResult res;
-    if (params_.warm_start_lp) {
-      res = lp::RevisedSimplexSolver(ropt).solve(inst.model, warm_basis_);
-    } else if (ropt.budget.limited() || view.lp_fault) {
-      // Budgets and fault injection only exist on the revised engine, so
-      // they force it even where solve_lp would pick the dense one.
-      res = lp::RevisedSimplexSolver(ropt).solve(inst.model);
-    } else {
-      res = lp::solve_lp(inst.model);
-    }
+    const lp::SolveResult res =
+        lp::RevisedSimplexSolver(ropt).solve(inst.model, warm_basis_);
     // kDeadline with a non-empty x is the anytime contract: the budget ran
     // out but the iterate is primal feasible — good enough to round.
     const bool deadline_usable =
@@ -532,7 +505,6 @@ void DynamicRrPolicy::save_state(util::SnapshotWriter& w) const {
     zoom_->save(w);
   }
   lp::save_basis(warm_basis_, w);
-  incremental_.save(w);
 }
 
 void DynamicRrPolicy::load_state(util::SnapshotReader& r) {
@@ -565,7 +537,6 @@ void DynamicRrPolicy::load_state(util::SnapshotReader& r) {
     zoom_->load(r);
   }
   warm_basis_ = lp::load_basis(r);
-  incremental_.load(r, topo_);
 }
 
 }  // namespace mecar::sim

@@ -23,7 +23,6 @@
 #include "bandit/lipschitz.h"
 #include "bandit/successive_elimination.h"
 #include "bandit/zooming.h"
-#include "core/incremental_slot_lp.h"
 #include "lp/revised_simplex.h"
 #include "sim/online_sim.h"
 #include "util/rng.h"
@@ -65,11 +64,6 @@ struct DynamicRrParams {
   double confidence_range = 0.5;
   /// Arm-selection rule (ablations; the paper uses successive elimination).
   ThresholdLearner learner = ThresholdLearner::kSuccessiveElimination;
-  /// Carry the revised-simplex basis of the per-slot LP-PT solve into the
-  /// next slot's solve (cold start on dimension change). The optimum is
-  /// unchanged — only the pivot count drops when consecutive batches keep
-  /// their shape, which is the common case under a saturated queue.
-  bool warm_start_lp = true;
   /// Pivot budget handed to the per-slot LP solver; 0 picks the solver's
   /// automatic limit. A solve that exhausts the budget returns
   /// kIterationLimit and the batch falls back to greedy placement
@@ -85,15 +79,6 @@ struct DynamicRrParams {
   /// Non-deterministic by nature — keep it 0 in reproducible experiments
   /// and let lp_pivot_budget bound the work instead.
   double lp_deadline_ms = 0.0;
-  /// Build the per-slot LP-PT through core::IncrementalSlotLp: consecutive
-  /// slots mutate the previous slot's model (column deltas for batch churn)
-  /// instead of rebuilding every ER_jil column, and the solver repairs the
-  /// carried basis across the shape change. The optimum is the same but
-  /// column order — and therefore rounding tie-breaks — may differ from the
-  /// scratch builder, so this is opt-in and OFF by default to keep golden
-  /// outputs bit-identical. Chaos runs (overlay topologies mutate in place)
-  /// fall back to the scratch builder automatically.
-  bool incremental_lp = false;
 };
 
 /// Graceful-degradation accounting of one DynamicRrPolicy instance: how
@@ -113,11 +98,10 @@ struct DegradationStats {
   /// ... and were re-placed by the greedy nearest-fit failover.
   long long displaced_replaced_greedy = 0;
   /// Degradation-ladder attribution: which rung produced each slot's
-  /// placement. Rung 0 — warm-started sparse LP; rung 1 — cold sparse LP
-  /// (includes the dense engine solve_lp picks for small models); rung 2
-  /// — the solver's dense cross-solve after a numerical fault; rung 3 —
-  /// per-request greedy (no usable LP solution); rung 4 — carry: even
-  /// greedy placed nothing, residents alone stream on.
+  /// placement. Rung 0 — warm-started sparse LP; rung 1 — cold sparse LP;
+  /// rung 2 — the solver's dense cross-solve after a numerical fault;
+  /// rung 3 — per-request greedy (no usable LP solution); rung 4 — carry:
+  /// even greedy placed nothing, residents alone stream on.
   long long slots_warm_lp = 0;
   long long slots_cold_lp = 0;
   long long slots_dense_lp = 0;
@@ -150,8 +134,8 @@ class DynamicRrPolicy final : public OnlinePolicy {
 
   /// Checkpoint support (sim/checkpoint.h): every mutable field that can
   /// influence a future decision — learner posteriors, the open reward
-  /// window, the warm-start basis and the incremental model (vertex
-  /// selection under degeneracy depends on both), degradation counters —
+  /// window, the warm-start basis (vertex selection under degeneracy
+  /// depends on it), degradation counters —
   /// round-trips so a resumed run decides bit-identically. Configuration
   /// (params_, grid_) is reconstructed by the caller, not serialized;
   /// load_state expects a policy built with the original arguments.
@@ -165,9 +149,6 @@ class DynamicRrPolicy final : public OnlinePolicy {
   double last_threshold_mhz() const noexcept { return last_threshold_; }
   const DegradationStats& degradation_stats() const noexcept {
     return degradation_;
-  }
-  const core::IncrementalSlotLp::Stats& incremental_lp_stats() const noexcept {
-    return incremental_.stats();
   }
 
  private:
@@ -192,8 +173,6 @@ class DynamicRrPolicy final : public OnlinePolicy {
   /// LP-PT basis carried across slots (warm starts). The solver itself is
   /// built per call: scripted solver faults vary its options slot to slot.
   lp::WarmStartBasis warm_basis_;
-  /// Delta-maintained LP-PT model (only touched when params_.incremental_lp).
-  core::IncrementalSlotLp incremental_;
   bandit::LipschitzGrid grid_;
   std::unique_ptr<bandit::Bandit> discrete_;  // null when zooming
   std::unique_ptr<bandit::ZoomingBandit> zoom_;

@@ -348,6 +348,10 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     util::SnapshotReader pr =
         util::SnapshotReader::unframed(resume->policy_state);
     policy.load_state(pr);
+    // A blob the policy did not read to the end was written by another
+    // policy or another schema: resuming from its prefix would not be the
+    // run that wrote it.
+    pr.expect_end();
   }
 
   for (int t = start_slot; t < horizon; ++t) {

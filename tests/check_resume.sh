@@ -8,8 +8,9 @@
 # must reproduce exactly. Each scenario also cross-checks the serial
 # checkpointed path against the pooled path, and dedicated legs cover a
 # scripted FaultPlan `crash` line that dies inside the faulted run
-# (stage-2 resume with the cached reference metrics) and a corrupted
-# newest generation recovered from the previous one.
+# (stage-2 resume with the cached reference metrics), the same inside
+# solver_faults' solver jam (DynamicRR resumed mid-recovery), and a
+# corrupted newest generation recovered from the previous one.
 #
 #   tests/check_resume.sh [BUILD_DIR]   (default: build)
 set -u
@@ -150,6 +151,44 @@ else
       "$work/faulted.ref" "$work/faulted.res"
   else
     echo "ok: resume_faulted (scripted crash, stage-2 resume)"
+  fi
+fi
+
+echo "== scripted crash inside solver_faults' solver jam =="
+# solver_faults.plan jams every slot-LP factorization over slots 220-340
+# under an anytime pivot budget. A crash at slot 300 restarts DynamicRR
+# mid-jam: after warm-basis clears and degradation-counter updates, the
+# policy state its checkpoint must carry.
+jam_spec=$root/scenarios/solver_faults.scenario
+{ cat "$root/scenarios/solver_faults.plan"; echo "crash 300"; } \
+  >"$work/jam-crash.plan"
+sed "s|^fault_plan .*|fault_plan $work/jam-crash.plan|" "$jam_spec" \
+  >"$work/jam-crash.scenario"
+
+"$cli" experiment --spec="$jam_spec" \
+  --checkpoint-dir="$work/jam-ref" --checkpoint-every=50 \
+  >"$work/jam.ref" 2>/dev/null || { echo "FAIL: solver_faults reference" >&2; fail=1; }
+"$cli" experiment --spec="$work/jam-crash.scenario" \
+  --checkpoint-dir="$work/jam" --checkpoint-every=50 \
+  >/dev/null 2>"$work/jam.err"
+if [ $? -ne 137 ] || ! grep -q "injected crash" "$work/jam.err"; then
+  echo "FAIL: scripted plan crash did not SIGKILL solver_faults" >&2
+  fail=1
+elif ! "$cli" experiment --spec="$work/jam-crash.scenario" \
+    --checkpoint-dir="$work/jam" --checkpoint-every=50 --resume \
+    >"$work/jam.res" 2>/dev/null; then
+  echo "FAIL: solver_faults resume leg" >&2
+  fail=1
+elif [ "$(filter "$work/jam.ref")" != "$(filter "$work/jam.res")" ]; then
+  mismatch "solver_faults resume differs from uninterrupted" \
+    "$work/jam.ref" "$work/jam.res"
+else
+  "$cli" experiment --spec="$jam_spec" >"$work/jam.pooled" 2>/dev/null
+  if [ "$(filter "$work/jam.ref")" != "$(filter "$work/jam.pooled")" ]; then
+    mismatch "solver_faults serial checkpointed output differs from pooled" \
+      "$work/jam.pooled" "$work/jam.ref"
+  else
+    echo "ok: solver_faults (scripted crash inside the solver jam)"
   fi
 fi
 

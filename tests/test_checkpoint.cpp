@@ -1,11 +1,12 @@
 // Tests for checkpoint orchestration (sim/checkpoint.h): mid-run
-// SimSnapshot capture via SlotHook and bit-identical resume (and repeat
-// runs of one simulator), including a snapshot that crosses between a
-// fresh simulator and one that already ran, the rejection of snapshots
-// that do not fit the resuming simulator, plus byte-stable serialization
-// of SimSnapshot itself, the CheckpointStore generation ledger (atomic
-// writes, newest-first listing, prune-to-two retention), and the
-// corrupted-newest-generation fallback the resume ladder performs.
+// SimSnapshot capture via SlotHook and bit-identical resume of every
+// registered online policy (and repeat runs of one simulator), including
+// a snapshot that crosses between a fresh simulator and one that already
+// ran, the rejection of snapshots that do not fit the resuming simulator
+// or its policy, plus byte-stable serialization of SimSnapshot itself,
+// the CheckpointStore generation ledger (atomic writes, newest-first
+// listing, prune-to-two retention), and the corrupted-newest-generation
+// fallback the resume ladder performs.
 //
 // Equality is EXPECT_EQ on doubles throughout: the checkpoint contract is
 // bit-identity, not tolerance-equality.
@@ -19,9 +20,9 @@
 #include <vector>
 
 #include "exp/instance.h"
+#include "exp/registry.h"
 #include "sim/checkpoint.h"
 #include "sim/dynamic_rr.h"
-#include "sim/online_baselines.h"
 #include "sim/online_sim.h"
 #include "util/rng.h"
 #include "util/snapshot.h"
@@ -61,15 +62,12 @@ OnlineParams chaos_params(const exp::Instance& inst, int horizon) {
   return params;
 }
 
-enum class PolicyKind { kDynamicRr, kGreedy };
-
-std::unique_ptr<OnlinePolicy> make_policy(PolicyKind kind,
+/// A fresh policy by registry name, built the way the scenario runner
+/// builds it (default parameters, policy seed 7).
+std::unique_ptr<OnlinePolicy> make_policy(const std::string& name,
                                           const mec::Topology& topo) {
-  if (kind == PolicyKind::kGreedy) {
-    return std::make_unique<GreedyOnlinePolicy>(topo, core::AlgorithmParams{});
-  }
-  return std::make_unique<DynamicRrPolicy>(topo, core::AlgorithmParams{},
-                                           DynamicRrParams{}, util::Rng(7));
+  return exp::PolicyRegistry::global().make_online(
+      name, topo, core::AlgorithmParams{}, DynamicRrParams{}, util::Rng(7));
 }
 
 struct CaptureHook final : SlotHook {
@@ -81,7 +79,7 @@ struct CaptureHook final : SlotHook {
 };
 
 void expect_identical(const OnlineMetrics& a, const OnlineMetrics& b,
-                      const char* label) {
+                      const std::string& label) {
   EXPECT_EQ(a.total_reward, b.total_reward) << label;
   EXPECT_EQ(a.arrived, b.arrived) << label;
   EXPECT_EQ(a.completed, b.completed) << label;
@@ -117,7 +115,7 @@ TEST(OnlineSimulator, RepeatRunsAreIdentical) {
   OnlineSimulator sim(inst.topo, inst.requests, inst.realized,
                       chaos_params(inst, 260));
   const auto run = [&] {
-    const auto policy = make_policy(PolicyKind::kDynamicRr, inst.topo);
+    const auto policy = make_policy("DynamicRR", inst.topo);
     return sim.run(*policy);
   };
   const OnlineMetrics first = run();
@@ -142,14 +140,15 @@ SimSnapshot disk_round_trip(const SimSnapshot& snap) {
 /// `capture_slot`, round-trips the snapshot through the binary frame, and
 /// resumes a THIRD simulator from the decoded copy. Both must match.
 void expect_resume_identical(const exp::Instance& inst,
-                             const OnlineParams& params, PolicyKind kind,
-                             int capture_slot, const char* label) {
+                             const OnlineParams& params,
+                             const std::string& name, int capture_slot,
+                             const std::string& label) {
   OnlineSimulator full(inst.topo, inst.requests, inst.realized, params);
-  auto full_policy = make_policy(kind, inst.topo);
+  auto full_policy = make_policy(name, inst.topo);
   const OnlineMetrics uninterrupted = full.run(*full_policy);
 
   OnlineSimulator first(inst.topo, inst.requests, inst.realized, params);
-  auto first_policy = make_policy(kind, inst.topo);
+  auto first_policy = make_policy(name, inst.topo);
   CaptureHook hook(capture_slot);
   const OnlineMetrics first_metrics = first.run(*first_policy, &hook);
   expect_identical(uninterrupted, first_metrics, label);
@@ -160,9 +159,18 @@ void expect_resume_identical(const exp::Instance& inst,
   // after a disk round trip, and a freshly constructed policy.
   const SimSnapshot decoded = disk_round_trip(*hook.snap);
   OnlineSimulator resumed(inst.topo, inst.requests, inst.realized, params);
-  auto resumed_policy = make_policy(kind, inst.topo);
+  auto resumed_policy = make_policy(name, inst.topo);
   const OnlineMetrics metrics = resumed.run(*resumed_policy, nullptr, &decoded);
   expect_identical(uninterrupted, metrics, label);
+
+  // Both policies end in the same state: a field the snapshot lost (the
+  // warm basis, a degradation counter) shows here even when the decisions
+  // it fed happened to coincide.
+  util::SnapshotWriter want;
+  util::SnapshotWriter got;
+  full_policy->save_state(want);
+  resumed_policy->save_state(got);
+  EXPECT_EQ(want.payload(), got.payload()) << label;
 }
 
 // The next three tests keep the names they had when mecar had two slot
@@ -170,16 +178,16 @@ void expect_resume_identical(const exp::Instance& inst,
 
 TEST(CheckpointResume, LegacyEngineUnderChaos) {
   const exp::Instance inst = busy_instance(11, 260);
-  expect_resume_identical(inst, chaos_params(inst, 260), PolicyKind::kDynamicRr,
-                          115, "DynamicRR/seed 11");
-  expect_resume_identical(inst, chaos_params(inst, 260), PolicyKind::kGreedy,
-                          115, "Greedy/seed 11");
+  expect_resume_identical(inst, chaos_params(inst, 260), "DynamicRR", 115,
+                          "DynamicRR/seed 11");
+  expect_resume_identical(inst, chaos_params(inst, 260), "Greedy", 115,
+                          "Greedy/seed 11");
 }
 
 TEST(CheckpointResume, ShardedEngineUnderChaos) {
   const exp::Instance inst = busy_instance(13, 260);
-  expect_resume_identical(inst, chaos_params(inst, 260), PolicyKind::kDynamicRr,
-                          115, "DynamicRR/seed 13");
+  expect_resume_identical(inst, chaos_params(inst, 260), "DynamicRR", 115,
+                          "DynamicRR/seed 13");
 }
 
 TEST(CheckpointResume, CrossEngineBothDirections) {
@@ -192,7 +200,7 @@ TEST(CheckpointResume, CrossEngineBothDirections) {
   const OnlineParams params = chaos_params(inst, 260);
   const auto run = [&](OnlineSimulator& sim, SlotHook* hook,
                        const SimSnapshot* resume) {
-    const auto policy = make_policy(PolicyKind::kDynamicRr, inst.topo);
+    const auto policy = make_policy("DynamicRR", inst.topo);
     return sim.run(*policy, hook, resume);
   };
 
@@ -226,10 +234,45 @@ TEST(CheckpointResume, CaptureSlotBoundaries) {
   const exp::Instance inst = busy_instance(19, 120);
   OnlineParams params;
   params.horizon_slots = 120;
-  expect_resume_identical(inst, params, PolicyKind::kDynamicRr, 0,
-                          "DynamicRR/slot0");
-  expect_resume_identical(inst, params, PolicyKind::kDynamicRr, 119,
+  expect_resume_identical(inst, params, "DynamicRR", 0, "DynamicRR/slot0");
+  expect_resume_identical(inst, params, "DynamicRR", 119,
                           "DynamicRR/last-slot");
+}
+
+TEST(CheckpointResume, EveryOnlinePolicyResumesBitIdentical) {
+  // Each registered policy's save_state/load_state pair must carry every
+  // field a later decision reads, under the same chaos as the tests above.
+  const exp::Instance inst = busy_instance(11, 260);
+  for (const std::string& name :
+       exp::PolicyRegistry::global().online_names()) {
+    expect_resume_identical(inst, chaos_params(inst, 260), name, 115, name);
+  }
+}
+
+TEST(CheckpointResume, SnapshotRejectsForeignPolicyState) {
+  // A policy blob must be consumed exactly: one written by another policy,
+  // or carrying trailing bytes, is a schema mismatch, not a prefix to
+  // resume from.
+  const exp::Instance inst = busy_instance(23, 120);
+  OnlineParams params;
+  params.horizon_slots = 120;
+  OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
+  auto policy = make_policy("DynamicRR", inst.topo);
+  CaptureHook hook(60);
+  sim.run(*policy, &hook);
+  ASSERT_TRUE(hook.snap.has_value());
+  ASSERT_FALSE(hook.snap->policy_state.empty());
+
+  auto greedy = make_policy("Greedy", inst.topo);
+  EXPECT_THROW(sim.run(*greedy, nullptr, &*hook.snap),
+               util::SnapshotParseError);
+
+  SimSnapshot padded = *hook.snap;
+  padded.policy_state.push_back(0);
+  padded.policy_state.push_back(0);
+  auto dynamic_rr = make_policy("DynamicRR", inst.topo);
+  EXPECT_THROW(sim.run(*dynamic_rr, nullptr, &padded),
+               util::SnapshotParseError);
 }
 
 TEST(CheckpointResume, SnapshotRejectsMismatchedWorkload) {
@@ -237,7 +280,7 @@ TEST(CheckpointResume, SnapshotRejectsMismatchedWorkload) {
   OnlineParams params;
   params.horizon_slots = 80;
   OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
-  auto policy = make_policy(PolicyKind::kGreedy, inst.topo);
+  auto policy = make_policy("Greedy", inst.topo);
   CaptureHook hook(40);
   sim.run(*policy, &hook);
   ASSERT_TRUE(hook.snap.has_value());
@@ -249,7 +292,7 @@ TEST(CheckpointResume, SnapshotRejectsMismatchedWorkload) {
   std::vector<std::size_t> fewer_realized(other.realized.begin(),
                                           other.realized.end() - 5);
   OnlineSimulator mismatched(other.topo, fewer, fewer_realized, small);
-  auto fresh = make_policy(PolicyKind::kGreedy, other.topo);
+  auto fresh = make_policy("Greedy", other.topo);
   EXPECT_THROW(mismatched.run(*fresh, nullptr, &*hook.snap),
                std::invalid_argument);
 }
@@ -258,7 +301,7 @@ TEST(CheckpointResume, SnapshotRejectsMismatchedWorkload) {
 SimSnapshot capture_greedy(const exp::Instance& inst,
                            const OnlineParams& params, int slot) {
   OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
-  auto policy = make_policy(PolicyKind::kGreedy, inst.topo);
+  auto policy = make_policy("Greedy", inst.topo);
   CaptureHook hook(slot);
   sim.run(*policy, &hook);
   EXPECT_TRUE(hook.snap.has_value());
@@ -269,7 +312,7 @@ OnlineMetrics resume_greedy(const exp::Instance& inst,
                             const OnlineParams& params,
                             const SimSnapshot& snap) {
   OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
-  auto policy = make_policy(PolicyKind::kGreedy, inst.topo);
+  auto policy = make_policy("Greedy", inst.topo);
   return sim.run(*policy, nullptr, &snap);
 }
 
@@ -322,7 +365,7 @@ TEST(CheckpointSerialization, SimSnapshotReencodesByteStable) {
   const exp::Instance inst = busy_instance(29, 200);
   OnlineParams params = chaos_params(inst, 200);
   OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
-  auto policy = make_policy(PolicyKind::kDynamicRr, inst.topo);
+  auto policy = make_policy("DynamicRR", inst.topo);
   CaptureHook hook(95);
   sim.run(*policy, &hook);
   ASSERT_TRUE(hook.snap.has_value());

@@ -20,91 +20,6 @@ namespace {
 
 constexpr double kTol = 1e-6;
 
-TEST(Model, AddColumnAppendsTermsToExistingRows) {
-  Model m;
-  const int x = m.add_variable("x", 1.0);
-  const int r0 = m.add_constraint("c0", Sense::kLe, 4.0, {{x, 1.0}});
-  const int r1 = m.add_constraint("c1", Sense::kLe, 3.0, {{x, 2.0}});
-  // Duplicate rows merge; zero coefficients drop.
-  const int y = m.add_column("y", 2.0, 5.0,
-                             {{r0, 1.0}, {r0, 0.5}, {r1, 0.0}});
-  EXPECT_EQ(y, 1);
-  ASSERT_EQ(m.row(r0).terms.size(), 2u);
-  EXPECT_EQ(m.row(r0).terms[1].col, y);
-  EXPECT_NEAR(m.row(r0).terms[1].coeff, 1.5, 1e-12);
-  EXPECT_EQ(m.row(r1).terms.size(), 1u);
-  EXPECT_NEAR(m.variable(y).upper, 5.0, 1e-12);
-  EXPECT_THROW((void)m.add_column("z", 0.0, 1.0, {{99, 1.0}}),
-               std::out_of_range);
-}
-
-TEST(Model, RemoveColumnStrikesTermsAndZerosTheVariable) {
-  Model m;
-  const int x = m.add_variable("x", 3.0, 2.0);
-  const int y = m.add_variable("y", 5.0, 2.0);
-  m.add_constraint("c0", Sense::kLe, 4.0, {{x, 1.0}, {y, 1.0}});
-  m.add_constraint("c1", Sense::kLe, 6.0, {{y, 2.0}});
-  m.remove_column(y);
-  EXPECT_EQ(m.num_variables(), 2) << "indices must stay stable";
-  ASSERT_EQ(m.row(0).terms.size(), 1u);
-  EXPECT_EQ(m.row(0).terms[0].col, x);
-  EXPECT_TRUE(m.row(1).terms.empty());
-  EXPECT_EQ(m.variable(y).upper, 0.0);
-  EXPECT_EQ(m.variable(y).objective, 0.0);
-  // The solved model now optimizes x alone.
-  const auto res = SimplexSolver().solve(m);
-  ASSERT_TRUE(res.optimal());
-  EXPECT_NEAR(res.objective, 6.0, kTol);
-  EXPECT_NEAR(res.x[static_cast<std::size_t>(y)], 0.0, kTol);
-  // Removing twice is a harmless no-op.
-  m.remove_column(y);
-  EXPECT_TRUE(m.row(1).terms.empty());
-}
-
-TEST(Model, UpdateBoundObjectiveAndRhs) {
-  Model m;
-  const int x = m.add_variable("x", 1.0, 10.0);
-  const int r = m.add_constraint("c", Sense::kLe, 4.0, {{x, 1.0}});
-  m.update_bound(x, 2.0);
-  auto res = SimplexSolver().solve(m);
-  ASSERT_TRUE(res.optimal());
-  EXPECT_NEAR(res.objective, 2.0, kTol);
-  m.update_bound(x, 10.0);
-  m.update_rhs(r, 7.0);
-  m.update_objective(x, 3.0);
-  res = SimplexSolver().solve(m);
-  ASSERT_TRUE(res.optimal());
-  EXPECT_NEAR(res.objective, 21.0, kTol);
-  EXPECT_THROW(m.update_bound(x, -1.0), std::invalid_argument);
-  EXPECT_THROW(m.update_bound(5, 1.0), std::out_of_range);
-  EXPECT_THROW(m.update_rhs(9, 1.0), std::out_of_range);
-  EXPECT_THROW(m.update_objective(9, 1.0), std::out_of_range);
-}
-
-TEST(Model, MutatedModelMatchesScratchBuild) {
-  // An add/remove sequence must land on the same optimum as building the
-  // final model directly — the contract IncrementalSlotLp relies on.
-  Model scratch;
-  const int a2 = scratch.add_variable("a", 4.0, 1.0);
-  const int c2 = scratch.add_variable("c", 2.5, 1.0);
-  scratch.add_constraint("cap", Sense::kLe, 1.5, {{a2, 1.0}, {c2, 1.0}});
-
-  Model mutated;
-  const int a = mutated.add_variable("a", 4.0, 1.0);
-  const int b = mutated.add_variable("b", 9.0, 1.0);
-  const int cap =
-      mutated.add_constraint("cap", Sense::kLe, 1.5, {{a, 1.0}, {b, 1.0}});
-  mutated.remove_column(b);
-  const int c = mutated.add_column("c", 2.5, 1.0, {{cap, 1.0}});
-  ASSERT_EQ(c, 2);
-  const auto want = SimplexSolver().solve(scratch);
-  const auto got = SimplexSolver().solve(mutated);
-  ASSERT_TRUE(want.optimal());
-  ASSERT_TRUE(got.optimal());
-  EXPECT_NEAR(want.objective, got.objective, kTol);
-  EXPECT_NEAR(got.x[static_cast<std::size_t>(b)], 0.0, kTol);
-}
-
 TEST(Model, AddVariableAndConstraintIndices) {
   Model m;
   EXPECT_EQ(m.add_variable("x", 1.0), 0);

@@ -106,28 +106,6 @@ TEST(Scenario, WriteReadRoundTrip) {
   EXPECT_DOUBLE_EQ(back.requests_per_slot, spec.requests_per_slot);
 }
 
-TEST(Scenario, IncrementalLpRoundTrip) {
-  exp::ScenarioSpec spec;
-  spec.name = "incremental";
-  spec.axis = exp::SweepAxis::kRequests;
-  spec.points = {10};
-  spec.policies = {{"DynamicRR", ""}};
-  spec.metrics = {"reward"};
-  spec.rr.incremental_lp = true;
-  std::stringstream text;
-  exp::write_scenario(spec, text);
-  EXPECT_NE(text.str().find("incremental_lp true"), std::string::npos);
-  const exp::ScenarioSpec back = exp::read_scenario(text);
-  EXPECT_TRUE(back.rr.incremental_lp);
-
-  // The default is omitted on write.
-  exp::ScenarioSpec plain = spec;
-  plain.rr.incremental_lp = false;
-  std::stringstream plain_text;
-  exp::write_scenario(plain, plain_text);
-  EXPECT_EQ(plain_text.str().find("incremental_lp"), std::string::npos);
-}
-
 TEST(Scenario, InfiniteBandwidthRoundTrips) {
   exp::ScenarioSpec spec;
   spec.name = "inf";
@@ -164,6 +142,32 @@ TEST(Scenario, ParseErrorsCarryLineNumbers) {
       "name x\naxis requests\npoints 10\npolicy Appro\nmetric reward\n"
       "chaos 0.5\nfault_plan plan.txt\n");
   EXPECT_THROW((void)exp::read_scenario(both), exp::ScenarioParseError);
+}
+
+TEST(Scenario, IntegerKeysRejectOutOfRange) {
+  // Each value lies outside the int range; a narrowing cast would read
+  // 2^32 + 1 as 1 and run a different experiment without a word.
+  const auto error_of = [](const std::string& line) -> std::string {
+    std::istringstream is("name x\n" + line + '\n');
+    try {
+      (void)exp::read_scenario(is);
+    } catch (const exp::ScenarioParseError& e) {
+      EXPECT_EQ(e.line(), 2) << line;
+      return e.what();
+    }
+    return "";
+  };
+  for (const char* line :
+       {"seeds 4294967297", "horizon 4294967496", "requests 4294967297",
+        "stations -4294967295", "mobility 4294967297 1 1",
+        "mobility 1 4294967297 1", "mobility 1 1 4294967297",
+        "policy_seed_offset 4294967297", "kappa 4294967300",
+        "lp_max_iterations 4294967296", "lp_budget 4294967297"}) {
+    EXPECT_NE(error_of(line).find("is out of range"), std::string::npos)
+        << line;
+  }
+  std::istringstream edge("name x\nseeds 2147483647\n");
+  EXPECT_EQ(exp::read_scenario(edge).seeds, 2147483647);
 }
 
 TEST(Scenario, ThresholdRangeMustBePositiveAndFinite) {

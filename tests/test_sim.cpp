@@ -333,33 +333,6 @@ TEST(SlotView, WaitingMsAtPoolBoundaries) {
   EXPECT_EQ(view.waiting_ms(2), 50.0);  // last pool index
 }
 
-// The incremental slot-LP pipeline (DynamicRrParams::incremental_lp) is
-// objective-equal but not tie-break-identical to scratch builds, so it is
-// NOT covered by the bit-identity contract. It must still complete a run
-// with sane accounting and actually exercise the delta path.
-TEST(DynamicRr, IncrementalLpPipelineRuns) {
-  // Arrivals land in the first 80 slots; the longer run horizon leaves a
-  // drain phase so sessions actually complete.
-  exp::InstanceConfig config;
-  config.num_requests = 220;
-  config.num_stations = 12;
-  config.horizon_slots = 80;
-  const exp::Instance inst = exp::make_instance(11u, config);
-  OnlineParams params;
-  params.horizon_slots = 280;
-  DynamicRrParams rr;
-  rr.incremental_lp = true;
-  DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{}, rr,
-                         util::Rng(7));
-  OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
-  const OnlineMetrics m = sim.run(policy);
-  const core::IncrementalSlotLp::Stats& stats = policy.incremental_lp_stats();
-  EXPECT_GT(stats.full_builds, 0);
-  EXPECT_GT(stats.full_builds + stats.reuses + stats.delta_builds, 1);
-  EXPECT_EQ(m.completed + m.dropped + m.unfinished, m.arrived);
-  EXPECT_GT(m.completed, 0);
-}
-
 // --- End-to-end policy comparisons ---------------------------------------
 
 struct OnlineSetup {

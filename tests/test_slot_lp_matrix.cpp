@@ -2,7 +2,7 @@
 // of constraints (9), (10) and the LP-PT truncation (23), ER_jil values,
 // and the latency filtering of (11). Also checks every capacity row of
 // random builds against a brute-force reference, and the candidate lists
-// both builders store per request against fresh candidate_stations calls.
+// the builders store per request against fresh candidate_stations calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/incremental_slot_lp.h"
 #include "core/slot_lp.h"
 #include "mec/request.h"
 #include "mec/workload.h"
@@ -325,52 +324,6 @@ TEST(SlotLpMatrix, StoredCandidatesEqualFreshCalls) {
           "ILP-RM request " + std::to_string(j));
     }
   }
-}
-
-TEST(SlotLpMatrix, IncrementalBuildsKeepStoredCandidatesInStep) {
-  // Batch churn, waiting growth, a displaced ghost sharing an id, a
-  // re-homed request and residual-capacity churn: on every build, full or
-  // delta, each entry's list must equal a fresh candidate_stations call.
-  const RandomBatch rb = random_batch(47, 12, 40);
-  AlgorithmParams params;
-  IncrementalSlotLp inc;
-  SlotLpOptions options;
-  options.share_cap_mhz = 800.0;
-  for (int step = 0; step < 8; ++step) {
-    std::vector<mec::ARRequest> batch;
-    options.waiting_ms_per_request.clear();
-    for (int k = step * 3; k < step * 3 + 12; ++k) {
-      batch.push_back(rb.requests[static_cast<std::size_t>(k)]);
-      options.waiting_ms_per_request.push_back(10.0 * (k % 3) + 4.0 * step);
-    }
-    if (step == 3) {
-      batch[0].demand = mec::RateRewardDist({{2.0, 1.0, 7.5}});
-      batch[0].latency_budget_ms = 1e9;
-      options.waiting_ms_per_request[0] = 0.0;
-    }
-    if (step >= 5) {
-      batch[1].home_station =
-          (batch[1].home_station + 5) % rb.topo.num_stations();
-    }
-    if (step >= 6) {
-      options.capacity_override_mhz.clear();
-      for (const mec::BaseStation& bs : rb.topo.stations()) {
-        options.capacity_override_mhz.push_back(bs.capacity_mhz -
-                                                 10.0 * step);
-      }
-    }
-    const SlotLpInstance& got = inc.build(rb.topo, batch, params, options);
-    ASSERT_EQ(got.request_candidates.size(), batch.size()) << "step " << step;
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      expect_same_candidates(
-          got.request_candidates[b],
-          candidate_stations(rb.topo, batch[b], params,
-                             options.waiting_ms_per_request[b]),
-          "step " + std::to_string(step) + " entry " + std::to_string(b));
-    }
-  }
-  EXPECT_GE(inc.stats().delta_builds, 5)
-      << "the sequence must exercise the delta path";
 }
 
 }  // namespace

@@ -28,6 +28,8 @@
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/greedy.h"
@@ -708,6 +710,18 @@ int metric_precision(const std::string& metric) {
   return 2;
 }
 
+/// Reads integer flag `key` (absent or empty = 0). Like a scenario key, a
+/// value outside the int range is an error, not a silent truncation.
+int int_flag(const util::Cli& cli, const std::string& key) {
+  const std::int64_t v = cli.get_int_or(key, 0);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("flag --" + key + " is out of range: '" +
+                                cli.get_or(key, "") + "'");
+  }
+  return static_cast<int>(v);
+}
+
 int cmd_experiment(const util::Cli& cli) {
   const std::string path = cli.get_or("spec", "");
   if (path.empty()) {
@@ -730,14 +744,10 @@ int cmd_experiment(const util::Cli& cli) {
     }
   }
   exp::Runner runner(std::move(spec));
-  if (cli.has("seeds")) {
-    runner.set_seeds(static_cast<int>(cli.get_int_or("seeds", 0)));
-  }
-  if (cli.has("horizon")) {
-    runner.set_horizon(static_cast<int>(cli.get_int_or("horizon", 0)));
-  }
+  if (cli.has("seeds")) runner.set_seeds(int_flag(cli, "seeds"));
+  if (cli.has("horizon")) runner.set_horizon(int_flag(cli, "horizon"));
   if (cli.has("lp-budget")) {
-    const int pivots = static_cast<int>(cli.get_int_or("lp-budget", 0));
+    const int pivots = int_flag(cli, "lp-budget");
     if (pivots < 1) {
       std::cerr << "mecar_cli: --lp-budget must be >= 1\n";
       return 1;
@@ -842,8 +852,7 @@ int cmd_list(const util::Cli&) {
       "  metric policy_seed_offset chaos fault_plan mobility\n"
       "  threshold_range kappa scale_thresholds threshold_headroom\n"
       "  rounding_divisor backfill enforce_backhaul backhaul_audit\n"
-      "  collect_detail requests_per_slot lp_max_iterations lp_budget\n"
-      "  incremental_lp\n";
+      "  collect_detail requests_per_slot lp_max_iterations lp_budget\n";
   return 0;
 }
 
