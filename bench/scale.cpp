@@ -143,12 +143,12 @@ int main(int argc, char** argv) {
     // The headline scenario: 10^3 stations, 10^5 requests, arrivals packed
     // into the first `window` slots so ~80% of the horizon is steady-state
     // drain — exactly where O(changes) and O(|R|) per slot diverge.
-    const int stations = static_cast<int>(cli.get_int_or("stations", 1000));
-    const int requests = static_cast<int>(cli.get_int_or("requests", 100000));
-    const int horizon = static_cast<int>(cli.get_int_or("horizon", 2000));
-    const int window = static_cast<int>(
-        cli.get_int_or("window", std::max(1, horizon / 5)));
-    const int seeds = static_cast<int>(cli.get_int_or("seeds", 1));
+    const int stations = util::int_flag(cli, "stations", 1000);
+    const int requests = util::int_flag(cli, "requests", 100000);
+    const int horizon = util::int_flag(cli, "horizon", 2000);
+    const int window =
+        util::int_flag(cli, "window", std::max(1, horizon / 5));
+    const int seeds = util::int_flag(cli, "seeds", 1);
     if (stations <= 0 || requests <= 0 || horizon <= 0 || window <= 0 ||
         seeds <= 0) {
       std::cerr << "scale: all size parameters must be positive\n";

@@ -1,9 +1,14 @@
 #include "mec/request.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 namespace mecar::mec {
 
@@ -73,15 +78,13 @@ double placement_latency_ms(const Topology& topo, const ARRequest& req,
                               topo.station(bs).proc_ms_per_unit);
 }
 
-double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
-                                std::span<const char> station_up) {
-  const std::span<const double> delay = topo.delays_from(req.home_station);
+namespace {
+
+/// The scan behind min_placement_latency_ms, given the home station's
+/// delay row and the pipeline's total processing weight.
+double min_latency_scan(const Topology& topo, std::span<const double> delay,
+                        double weight, std::span<const char> station_up) {
   const std::vector<BaseStation>& stations = topo.stations();
-  if (!station_up.empty() && station_up.size() != stations.size()) {
-    throw std::invalid_argument(
-        "min_placement_latency_ms: station_up size mismatch");
-  }
-  const double weight = req.total_proc_weight();
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t bs = 0; bs < stations.size(); ++bs) {
     if (!station_up.empty() && station_up[bs] == 0) continue;
@@ -89,6 +92,48 @@ double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
                                                stations[bs].proc_ms_per_unit));
   }
   return best;
+}
+
+}  // namespace
+
+double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
+                                std::span<const char> station_up) {
+  const std::span<const double> delay = topo.delays_from(req.home_station);
+  if (!station_up.empty() && station_up.size() != topo.stations().size()) {
+    throw std::invalid_argument(
+        "min_placement_latency_ms: station_up size mismatch");
+  }
+  return min_latency_scan(topo, delay, req.total_proc_weight(), station_up);
+}
+
+std::vector<double> min_placement_latencies(
+    const Topology& topo, std::span<const ARRequest> requests) {
+  // Keyed by the weight's bits, so a memo hit stands for a scan over
+  // exactly the same inputs.
+  using Key = std::pair<int, std::uint64_t>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept {
+      return std::hash<std::uint64_t>{}(
+          key.second ^ static_cast<std::uint64_t>(key.first) *
+                           0x9e3779b97f4a7c15ULL);
+    }
+  };
+  std::unordered_map<Key, double, KeyHash> memo;
+  std::vector<double> latencies;
+  latencies.reserve(requests.size());
+  for (const ARRequest& req : requests) {
+    const double weight = req.total_proc_weight();
+    const Key key{req.home_station, std::bit_cast<std::uint64_t>(weight)};
+    auto it = memo.find(key);
+    if (it == memo.end()) {
+      it = memo.emplace(key, min_latency_scan(
+                                 topo, topo.delays_from(req.home_station),
+                                 weight, {}))
+               .first;
+    }
+    latencies.push_back(it->second);
+  }
+  return latencies;
 }
 
 double split_placement_latency_ms(const Topology& topo, const ARRequest& req,

@@ -110,6 +110,15 @@ inline double placement_latency_ms(double trans_ms, double proc_weight,
 double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
                                 std::span<const char> station_up = {});
 
+/// min_placement_latency_ms(topo, requests[j]) for every request, over all
+/// stations. The scan runs once per distinct (home station,
+/// total_proc_weight()) pair and is reused for repeats, so each value keeps
+/// the bits of the single-request helper; generated workloads have at most
+/// three weights per home station. Throws std::out_of_range on a bad home
+/// station.
+std::vector<double> min_placement_latencies(
+    const Topology& topo, std::span<const ARRequest> requests);
+
 /// Latency of `req` when its tasks are split across stations: each task k
 /// at stations[k]; consecutive tasks at different stations pay the 2x
 /// inter-station hop (the Heu migration model).

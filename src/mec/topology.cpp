@@ -3,14 +3,99 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
+
+#include "util/parallel.h"
 
 namespace mecar::mec {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
+
+/// Indexed 4-ary min-heap of station ids keyed by their labels in a
+/// Dijkstra row. A station is queued at most once: a shorter label moves
+/// its entry up (decrease-key) instead of pushing a second entry, so the
+/// heap never holds more than |BS| entries and never pops a stale one.
+/// The heap holds ids only and reads each key from the row, which keeps
+/// its entries small; callers lower row[node] before push_or_decrease.
+class IndexedHeap {
+ public:
+  explicit IndexedHeap(std::span<const double> row)
+      : row_(row), pos_(row.size(), kNotQueued) {
+    heap_.reserve(row.size());
+  }
+
+  bool empty() const noexcept { return heap_.empty(); }
+
+  /// Queues `node`, or restores heap order after its label decreased.
+  void push_or_decrease(int node) {
+    const int at = pos_[static_cast<std::size_t>(node)];
+    std::size_t i = heap_.size();
+    if (at == kNotQueued) {
+      heap_.push_back(node);
+    } else {
+      i = static_cast<std::size_t>(at);
+    }
+    const double key = key_of(node);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!(key < key_of(heap_[parent]))) break;
+      place(i, heap_[parent]);
+      i = parent;
+    }
+    place(i, node);
+  }
+
+  /// Removes and returns the queued station with the smallest label.
+  int pop() {
+    const int top = heap_.front();
+    pos_[static_cast<std::size_t>(top)] = kNotQueued;
+    const int last = heap_.back();
+    heap_.pop_back();
+    if (heap_.empty()) return top;
+    const double key = key_of(last);
+    const std::size_t size = heap_.size();
+    std::size_t i = 0;
+    while (true) {
+      const std::size_t first = kArity * i + 1;
+      if (first >= size) break;
+      const std::size_t end = std::min(first + kArity, size);
+      std::size_t best = first;
+      double best_key = key_of(heap_[first]);
+      for (std::size_t c = first + 1; c < end; ++c) {
+        const double c_key = key_of(heap_[c]);
+        if (c_key < best_key) {
+          best = c;
+          best_key = c_key;
+        }
+      }
+      if (!(best_key < key)) break;
+      place(i, heap_[best]);
+      i = best;
+    }
+    place(i, last);
+    return top;
+  }
+
+ private:
+  static constexpr int kNotQueued = -1;
+  static constexpr std::size_t kArity = 4;
+
+  double key_of(int node) const {
+    return row_[static_cast<std::size_t>(node)];
+  }
+
+  void place(std::size_t i, int node) {
+    heap_[i] = node;
+    pos_[static_cast<std::size_t>(node)] = static_cast<int>(i);
+  }
+
+  std::span<const double> row_;
+  std::vector<int> heap_;
+  std::vector<int> pos_;  // heap index of each queued station
+};
+
+}  // namespace
 
 Topology::Topology(std::vector<BaseStation> stations, std::vector<Link> links)
     : stations_(std::move(stations)), links_(std::move(links)) {
@@ -18,56 +103,88 @@ Topology::Topology(std::vector<BaseStation> stations, std::vector<Link> links)
     throw std::invalid_argument("Topology: no stations");
   }
   for (std::size_t i = 0; i < stations_.size(); ++i) {
-    if (stations_[i].id != static_cast<int>(i)) {
+    const BaseStation& bs = stations_[i];
+    if (bs.id != static_cast<int>(i)) {
       throw std::invalid_argument("Topology: station ids must be 0..n-1");
     }
-    if (stations_[i].capacity_mhz <= 0.0) {
-      throw std::invalid_argument("Topology: non-positive capacity");
+    if (!(bs.capacity_mhz > 0.0)) {
+      throw std::invalid_argument("Topology: non-positive or NaN capacity");
+    }
+    if (!std::isfinite(bs.proc_ms_per_unit) || bs.proc_ms_per_unit < 0.0) {
+      throw std::invalid_argument(
+          "Topology: negative or non-finite proc_ms_per_unit");
     }
   }
-  adjacency_.assign(stations_.size(), {});
-  for (std::size_t li = 0; li < links_.size(); ++li) {
-    const Link& link = links_[li];
+  const auto n = stations_.size();
+  adj_start_.assign(n + 1, 0);
+  for (const Link& link : links_) {
     if (link.a < 0 || link.b < 0 || link.a >= num_stations() ||
         link.b >= num_stations() || link.a == link.b) {
       throw std::invalid_argument("Topology: bad link endpoints");
     }
-    if (link.delay_ms < 0.0) {
-      throw std::invalid_argument("Topology: negative link delay");
+    if (!(link.delay_ms >= 0.0)) {
+      throw std::invalid_argument("Topology: negative or NaN link delay");
     }
-    if (link.bandwidth_mbps <= 0.0) {
-      throw std::invalid_argument("Topology: non-positive link bandwidth");
+    if (!(link.bandwidth_mbps > 0.0)) {
+      throw std::invalid_argument(
+          "Topology: non-positive or NaN link bandwidth");
     }
-    adjacency_[static_cast<std::size_t>(link.a)].push_back(
-        Edge{link.b, link.delay_ms, static_cast<int>(li)});
-    adjacency_[static_cast<std::size_t>(link.b)].push_back(
-        Edge{link.a, link.delay_ms, static_cast<int>(li)});
+    ++adj_start_[static_cast<std::size_t>(link.a) + 1];
+    ++adj_start_[static_cast<std::size_t>(link.b) + 1];
   }
-  compute_shortest_paths();
+  for (std::size_t u = 0; u < n; ++u) adj_start_[u + 1] += adj_start_[u];
+  const auto num_edges = static_cast<std::size_t>(adj_start_[n]);
+  adj_to_.resize(num_edges);
+  adj_delay_.resize(num_edges);
+  adj_link_.resize(num_edges);
+  std::vector<int> fill(adj_start_.begin(), adj_start_.end() - 1);
+  auto add_edge = [&](int from, int to, std::size_t li) {
+    const auto e =
+        static_cast<std::size_t>(fill[static_cast<std::size_t>(from)]++);
+    adj_to_[e] = to;
+    adj_delay_[e] = links_[li].delay_ms;
+    adj_link_[e] = static_cast<int>(li);
+  };
+  for (std::size_t li = 0; li < links_.size(); ++li) {
+    add_edge(links_[li].a, links_[li].b, li);
+    add_edge(links_[li].b, links_[li].a, li);
+  }
+
+  // Rows are independent, so the pooled and the inline sweep compute the
+  // same bits; inside a pool task the region runs inline anyway.
+  dist_.assign(n * n, kInf);
+  auto compute_row = [&](std::size_t src) {
+    dijkstra_row(static_cast<int>(src), {dist_.data() + src * n, n}, {}, -1);
+  };
+  if (num_stations() >= kPooledRowsMinStations) {
+    util::parallel_for(n, compute_row);
+  } else {
+    for (std::size_t src = 0; src < n; ++src) compute_row(src);
+  }
 }
 
-void Topology::compute_shortest_paths() {
-  const auto n = stations_.size();
-  dist_.assign(n * n, kInf);
-  parent_link_.assign(n * n, -1);
-  using Entry = std::pair<double, int>;  // (distance, node)
-  for (std::size_t src = 0; src < n; ++src) {
-    auto* row = &dist_[src * n];
-    auto* parents = &parent_link_[src * n];
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    row[src] = 0.0;
-    heap.emplace(0.0, static_cast<int>(src));
-    while (!heap.empty()) {
-      const auto [d, u] = heap.top();
-      heap.pop();
-      if (d > row[u]) continue;
-      for (const Edge& edge : adjacency_[static_cast<std::size_t>(u)]) {
-        const double nd = d + edge.delay;
-        if (nd < row[edge.to]) {
-          row[edge.to] = nd;
-          parents[edge.to] = edge.link;
-          heap.emplace(nd, edge.to);
+void Topology::dijkstra_row(int src, std::span<double> row,
+                            std::span<int> parent_link, int stop_at) const {
+  IndexedHeap heap(row);
+  row[static_cast<std::size_t>(src)] = 0.0;
+  heap.push_or_decrease(src);
+  while (!heap.empty()) {
+    const int u = heap.pop();
+    if (u == stop_at) return;
+    const double d = row[static_cast<std::size_t>(u)];
+    const auto end = static_cast<std::size_t>(
+        adj_start_[static_cast<std::size_t>(u) + 1]);
+    for (auto e = static_cast<std::size_t>(
+             adj_start_[static_cast<std::size_t>(u)]);
+         e < end; ++e) {
+      const double nd = d + adj_delay_[e];
+      const int v = adj_to_[e];
+      if (nd < row[static_cast<std::size_t>(v)]) {
+        row[static_cast<std::size_t>(v)] = nd;
+        if (!parent_link.empty()) {
+          parent_link[static_cast<std::size_t>(v)] = adj_link_[e];
         }
+        heap.push_or_decrease(v);
       }
     }
   }
@@ -85,10 +202,12 @@ std::vector<int> Topology::shortest_path_links(int from, int to) const {
     throw std::runtime_error(
         "Topology::shortest_path_links: stations are disconnected");
   }
+  std::vector<double> row(n, kInf);
+  std::vector<int> parent_link(n, -1);
+  dijkstra_row(from, row, parent_link, to);
   int cur = to;
   while (cur != from) {
-    const int link_id = parent_link_[static_cast<std::size_t>(from) * n +
-                                     static_cast<std::size_t>(cur)];
+    const int link_id = parent_link[static_cast<std::size_t>(cur)];
     path.push_back(link_id);
     const Link& link = links_[static_cast<std::size_t>(link_id)];
     cur = (link.a == cur) ? link.b : link.a;

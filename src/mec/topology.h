@@ -6,7 +6,7 @@
 // plus patch edges to guarantee connectivity). Each base station carries a
 // computing capacity in MHz and a per-unit processing speed; each link a
 // per-unit transmission delay. All-pairs shortest transmission delays are
-// precomputed with Dijkstra.
+// precomputed with Dijkstra; shortest paths are recomputed on demand.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +48,18 @@ struct Link {
 /// transmission delays (ms per rho_unit).
 class Topology {
  public:
+  /// Topologies with at least this many stations compute their delay rows
+  /// on util::default_pool(); smaller ones (every paper topology) compute
+  /// them inline, where a dispatch would cost more than it saves.
+  static constexpr int kPooledRowsMinStations = 128;
+
+  /// Validates the network and computes the all-pairs delay table. Throws
+  /// std::invalid_argument on an empty station list, station ids other
+  /// than 0..n-1 in order, a capacity that is not positive, a
+  /// proc_ms_per_unit that is negative or not finite, bad link endpoints,
+  /// a negative or NaN link delay, or a bandwidth that is not positive.
+  /// +infinity is a valid link delay (a cut link) and a valid bandwidth
+  /// (unconstrained backhaul).
   Topology(std::vector<BaseStation> stations, std::vector<Link> links);
 
   int num_stations() const noexcept {
@@ -80,23 +92,29 @@ class Topology {
   std::vector<int> stations_by_distance(int from) const;
 
   /// Link indices along the delay-shortest path from `from` to `to`
-  /// (empty when from == to). Throws std::runtime_error when disconnected.
+  /// (empty when from == to), found by a Dijkstra run from `from` that
+  /// stops once `to` is settled. Throws std::out_of_range on a bad station
+  /// id and std::runtime_error when disconnected.
   std::vector<int> shortest_path_links(int from, int to) const;
 
  private:
-  void compute_shortest_paths();
+  /// Dijkstra from `src` into `row` (|BS| entries, all +infinity on
+  /// entry). When `parent_link` is non-empty it receives the link that
+  /// last improved each station's label; the search stops once `stop_at`
+  /// is settled (-1 = settle every reachable station).
+  void dijkstra_row(int src, std::span<double> row,
+                    std::span<int> parent_link, int stop_at) const;
 
   std::vector<BaseStation> stations_;
   std::vector<Link> links_;
-  /// adjacency_[u] = (neighbour, delay, link index).
-  struct Edge {
-    int to;
-    double delay;
-    int link;
-  };
-  std::vector<std::vector<Edge>> adjacency_;
-  std::vector<double> dist_;      // row-major |BS| x |BS|
-  std::vector<int> parent_link_;  // row-major: link used to reach column
+  /// CSR adjacency, each station's edges in link order: station u's edges
+  /// are adj_start_[u] .. adj_start_[u + 1] - 1 of the three edge arrays
+  /// (neighbour, per-unit delay, link index).
+  std::vector<int> adj_start_;
+  std::vector<int> adj_to_;
+  std::vector<double> adj_delay_;
+  std::vector<int> adj_link_;
+  std::vector<double> dist_;  // row-major |BS| x |BS|
 };
 
 /// Parameters of the Waxman/GT-ITM-style generator with the paper's

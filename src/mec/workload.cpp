@@ -65,11 +65,17 @@ std::vector<ARRequest> generate_requests(const WorkloadParams& params,
     home_weights[i] =
         1.0 / std::pow(static_cast<double>(i) + 1.0, params.home_skew);
   }
+  const util::Categorical home_dist(home_weights);
+  std::vector<double> skew_pow(static_cast<std::size_t>(levels));
+  for (int k = 0; k < levels; ++k) {
+    skew_pow[static_cast<std::size_t>(k)] = std::pow(params.rate_prob_skew, k);
+  }
+  std::vector<double> probs(static_cast<std::size_t>(levels));
 
   for (int j = 0; j < params.num_requests; ++j) {
     ARRequest req;
     req.id = j;
-    req.home_station = station_perm[rng.categorical(home_weights)];
+    req.home_station = station_perm[home_dist.sample(rng)];
     req.tasks = ar_pipeline(
         static_cast<int>(rng.uniform_int(params.tasks_min, params.tasks_max)));
     req.latency_budget_ms = params.latency_budget_ms;
@@ -81,11 +87,10 @@ std::vector<ARRequest> generate_requests(const WorkloadParams& params,
     std::vector<RateLevel> rate_levels;
     rate_levels.reserve(static_cast<std::size_t>(levels));
     double prob_total = 0.0;
-    std::vector<double> probs(static_cast<std::size_t>(levels));
     for (int k = 0; k < levels; ++k) {
-      const double base = std::pow(params.rate_prob_skew, k);
       const double jitter = rng.uniform(0.8, 1.2);
-      probs[static_cast<std::size_t>(k)] = base * jitter;
+      probs[static_cast<std::size_t>(k)] =
+          skew_pow[static_cast<std::size_t>(k)] * jitter;
       prob_total += probs[static_cast<std::size_t>(k)];
     }
     const double step =

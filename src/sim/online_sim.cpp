@@ -140,10 +140,7 @@ OnlineSimulator::OnlineSimulator(const mec::Topology& topo,
   if (params_.horizon_slots <= 0 || params_.slot_ms <= 0.0) {
     throw std::invalid_argument("OnlineSimulator: bad horizon/slot length");
   }
-  min_latency_ms_.reserve(requests_.size());
-  for (const mec::ARRequest& req : requests_) {
-    min_latency_ms_.push_back(mec::min_placement_latency_ms(topo_, req));
-  }
+  min_latency_ms_ = mec::min_placement_latencies(topo_, requests_);
 }
 
 OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,

@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "util/parse.h"
@@ -65,6 +66,16 @@ bool Cli::get_bool_or(const std::string& key, bool fallback) const {
   if (*v == "0" || *v == "false" || *v == "no") return false;
   throw std::invalid_argument("flag --" + key + " expects a boolean, got '" +
                               *v + "'");
+}
+
+int int_flag(const Cli& cli, const std::string& key, int fallback) {
+  const std::int64_t v = cli.get_int_or(key, fallback);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("flag --" + key + " is out of range: '" +
+                                cli.get_or(key, "") + "'");
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace mecar::util

@@ -37,4 +37,9 @@ class Cli {
   std::vector<std::string> positional_;
 };
 
+/// Reads integer flag `key` as an int (absent or empty = `fallback`). A
+/// value outside the int range throws std::invalid_argument naming the
+/// flag, rather than being truncated.
+int int_flag(const Cli& cli, const std::string& key, int fallback = 0);
+
 }  // namespace mecar::util

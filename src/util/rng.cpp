@@ -63,20 +63,7 @@ bool Rng::bernoulli(double p) noexcept {
 }
 
 std::size_t Rng::categorical(std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("Rng::categorical: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument("Rng::categorical: weights sum to zero");
-  }
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical tail
+  return Categorical(weights).sample(*this);
 }
 
 std::size_t Rng::categorical_or_none(std::span<const double> weights,
@@ -109,6 +96,25 @@ double Rng::exponential(double rate) {
 
 Rng Rng::split() noexcept {
   return Rng((*this)());
+}
+
+Categorical::Categorical(std::span<const double> weights) : weights_(weights) {
+  for (double w : weights_) {
+    if (w < 0.0) throw std::invalid_argument("Categorical: negative weight");
+    total_ += w;
+  }
+  if (total_ <= 0.0) {
+    throw std::invalid_argument("Categorical: weights sum to zero");
+  }
+}
+
+std::size_t Categorical::sample(Rng& rng) const noexcept {
+  double target = rng.uniform() * total_;
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    target -= weights_[i];
+    if (target < 0.0) return i;
+  }
+  return weights_.size() - 1;  // numerical tail
 }
 
 }  // namespace mecar::util

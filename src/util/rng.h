@@ -46,7 +46,9 @@ class Rng {
   bool bernoulli(double p) noexcept;
 
   /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. Weights must be non-negative and not all zero.
+  /// to weights[i]. Weights must be non-negative and not all zero. Equal to
+  /// Categorical(weights).sample(*this); repeated draws from one weight
+  /// vector should build the Categorical once.
   std::size_t categorical(std::span<const double> weights);
 
   /// Samples an index in [0, weights.size()) proportional to weights, where
@@ -87,6 +89,27 @@ class Rng {
 
  private:
   std::uint64_t state_[4];
+};
+
+/// A categorical distribution over a span of weights, validated and summed
+/// (in index order) once, so each draw costs one uniform and one
+/// subtract-scan rather than a re-validation and re-sum of every weight.
+/// A view: the weights must outlive it.
+class Categorical {
+ public:
+  /// Throws std::invalid_argument on a negative weight or a zero total.
+  explicit Categorical(std::span<const double> weights);
+
+  /// Sum of the weights, accumulated in index order.
+  double total() const noexcept { return total_; }
+
+  /// Samples an index in [0, weights.size()) with probability proportional
+  /// to its weight, from one rng.uniform() draw.
+  std::size_t sample(Rng& rng) const noexcept;
+
+ private:
+  std::span<const double> weights_;
+  double total_ = 0.0;
 };
 
 }  // namespace mecar::util

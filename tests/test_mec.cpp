@@ -2,12 +2,21 @@
 // shortest paths, request distributions, pipeline latency, workloads.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <queue>
 #include <set>
 
+#include "core/types.h"
 #include "mec/request.h"
 #include "mec/topology.h"
 #include "mec/workload.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace mecar::mec {
@@ -69,6 +78,28 @@ TEST(Topology, ValidationRejectsBadInput) {
   EXPECT_THROW(Topology(two, {{0, 1, -1.0}}), std::invalid_argument);
 }
 
+TEST(Topology, ValidationRejectsNonFiniteInput) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto two = [](double capacity, double proc_ms_per_unit) {
+    return std::vector<BaseStation>{{0, capacity, proc_ms_per_unit, 0.0, 0.0},
+                                    {1, 3000.0, 1.0, 1.0, 0.0}};
+  };
+  EXPECT_THROW(Topology(two(kNaN, 1.0), {}), std::invalid_argument);
+  EXPECT_THROW(Topology(two(3000.0, -5.0), {}), std::invalid_argument);
+  EXPECT_THROW(Topology(two(3000.0, kNaN), {}), std::invalid_argument);
+  EXPECT_THROW(Topology(two(3000.0, kInf), {}), std::invalid_argument);
+  EXPECT_THROW(Topology(two(3000.0, 1.0), {{0, 1, kNaN}}),
+               std::invalid_argument);
+  EXPECT_THROW(Topology(two(3000.0, 1.0), {{0, 1, 1.0, kNaN}}),
+               std::invalid_argument);
+  // +inf stays valid: a cut link's delay and unconstrained bandwidth.
+  const Topology cut(two(3000.0, 1.0), {{0, 1, kInf}});
+  EXPECT_TRUE(std::isinf(cut.transmission_delay_ms(0, 1)));
+  const Topology unconstrained(two(3000.0, 0.0), {{0, 1, 1.0, kInf}});
+  EXPECT_EQ(unconstrained.transmission_delay_ms(0, 1), 1.0);
+}
+
 TEST(Topology, StationsByDistanceStartsWithSelf) {
   const Topology topo = line_topology();
   const auto order = topo.stations_by_distance(1);
@@ -86,6 +117,191 @@ TEST(Topology, DelayQueriesValidateIds) {
   const Topology topo = line_topology();
   EXPECT_THROW(topo.transmission_delay_ms(-1, 0), std::out_of_range);
   EXPECT_THROW(topo.transmission_delay_ms(0, 3), std::out_of_range);
+}
+
+/// Reference all-pairs Dijkstra, independent of the library's: a lazy
+/// binary heap over per-station adjacency lists in link order. Every
+/// distance bit of a Topology must match it.
+std::vector<double> reference_delay_table(const Topology& topo) {
+  struct Edge {
+    int to;
+    double delay;
+  };
+  const auto n = static_cast<std::size_t>(topo.num_stations());
+  std::vector<std::vector<Edge>> adjacency(n);
+  for (const Link& link : topo.links()) {
+    adjacency[static_cast<std::size_t>(link.a)].push_back(
+        {link.b, link.delay_ms});
+    adjacency[static_cast<std::size_t>(link.b)].push_back(
+        {link.a, link.delay_ms});
+  }
+  std::vector<double> dist(n * n, std::numeric_limits<double>::infinity());
+  using Entry = std::pair<double, int>;
+  for (std::size_t src = 0; src < n; ++src) {
+    double* row = &dist[src * n];
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    row[src] = 0.0;
+    heap.emplace(0.0, static_cast<int>(src));
+    while (!heap.empty()) {
+      const auto [d, u] = heap.top();
+      heap.pop();
+      if (d > row[u]) continue;
+      for (const Edge& edge : adjacency[static_cast<std::size_t>(u)]) {
+        const double nd = d + edge.delay;
+        if (nd < row[edge.to]) {
+          row[edge.to] = nd;
+          heap.emplace(nd, edge.to);
+        }
+      }
+    }
+  }
+  return dist;
+}
+
+std::vector<double> delay_table(const Topology& topo) {
+  std::vector<double> table;
+  for (int from = 0; from < topo.num_stations(); ++from) {
+    const auto row = topo.delays_from(from);
+    table.insert(table.end(), row.begin(), row.end());
+  }
+  return table;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Every pair: the path is a walk of links from `from` to `to`, and its
+/// delays summed from `from` onward give the table entry bit for bit.
+/// Disconnected pairs throw.
+void expect_paths_reproduce_delays(const Topology& topo) {
+  for (int from = 0; from < topo.num_stations(); ++from) {
+    for (int to = 0; to < topo.num_stations(); ++to) {
+      const double delay = topo.transmission_delay_ms(from, to);
+      if (std::isinf(delay)) {
+        EXPECT_THROW((void)topo.shortest_path_links(from, to),
+                     std::runtime_error);
+        continue;
+      }
+      int at = from;
+      double sum = 0.0;
+      for (int link_id : topo.shortest_path_links(from, to)) {
+        const Link& link = topo.links().at(static_cast<std::size_t>(link_id));
+        ASSERT_TRUE(link.a == at || link.b == at)
+            << "path " << from << "->" << to << " breaks at link " << link_id;
+        at = link.a == at ? link.b : link.a;
+        sum += link.delay_ms;
+      }
+      EXPECT_EQ(at, to);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sum),
+                std::bit_cast<std::uint64_t>(delay))
+          << "path " << from << "->" << to;
+    }
+  }
+}
+
+Topology hand_built(std::vector<Link> links, int num_stations) {
+  std::vector<BaseStation> stations;
+  for (int i = 0; i < num_stations; ++i) {
+    stations.push_back({i, 3000.0, 1.0, 0.0, 0.0});
+  }
+  return Topology(std::move(stations), std::move(links));
+}
+
+TEST(Topology, AllPairsMatchReferenceOnWaxmanTopologies) {
+  // Both sides of kPooledRowsMinStations.
+  for (const int n : {1, 2, 3, 5, 8, 13, 21, 34, 50, 89, 127, 128, 129, 200,
+                      300}) {
+    util::Rng rng(static_cast<std::uint64_t>(n));
+    TopologyParams params;
+    params.num_stations = n;
+    const Topology topo = generate_topology(params, rng);
+    EXPECT_TRUE(same_bits(delay_table(topo), reference_delay_table(topo)))
+        << n << " stations";
+  }
+}
+
+TEST(Topology, AllPairsMatchReferenceOnHandBuiltGraphs) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Topology> graphs{
+      // Zero-delay link: 0 and 1 are one point of the network.
+      hand_built({{0, 1, 0.0}, {1, 2, 2.5}, {0, 2, 2.5}, {2, 3, 0.0}}, 4),
+      // Cut (+inf) link: 0-1 only through 2; 3 only through a cut link.
+      hand_built({{0, 1, kInf}, {0, 2, 5.0}, {2, 1, 1.0}, {1, 3, kInf}}, 4),
+      // Two components.
+      hand_built({{0, 1, 1.0}, {2, 3, 2.0}, {3, 4, 0.5}}, 5),
+      // Exact ties: 0->3 costs 3 through 1 and through 2. Rounding: 0->5
+      // direct (0.3) beats 0.1 + 0.2, which rounds above 0.3.
+      hand_built({{0, 1, 1.0},
+                  {1, 3, 2.0},
+                  {0, 2, 2.0},
+                  {2, 3, 1.0},
+                  {3, 5, 10.0},
+                  {0, 4, 0.1},
+                  {4, 5, 0.2},
+                  {0, 5, 0.3}},
+                 6),
+  };
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    EXPECT_TRUE(same_bits(delay_table(graphs[g]),
+                          reference_delay_table(graphs[g])))
+        << "graph " << g;
+    expect_paths_reproduce_delays(graphs[g]);
+  }
+  EXPECT_EQ(graphs[0].transmission_delay_ms(1, 3), 2.5);
+  EXPECT_EQ(graphs[1].transmission_delay_ms(0, 1), 6.0);
+  EXPECT_TRUE(std::isinf(graphs[1].transmission_delay_ms(0, 3)));
+  EXPECT_FALSE(graphs[2].connected());
+  EXPECT_EQ(graphs[3].transmission_delay_ms(0, 3), 3.0);
+  EXPECT_EQ(graphs[3].transmission_delay_ms(0, 5), 0.3);
+}
+
+TEST(Topology, PooledAndInlineRowsAreByteEqual) {
+  util::Rng rng(1);
+  TopologyParams params;
+  params.num_stations = 300;
+  ASSERT_GE(params.num_stations, Topology::kPooledRowsMinStations);
+  const Topology pooled = generate_topology(params, rng);
+  // Constructed inside a parallel region, every row runs inline.
+  std::optional<Topology> nested;
+  util::parallel_for(1, [&](std::size_t) {
+    nested.emplace(pooled.stations(), pooled.links());
+  });
+  ASSERT_TRUE(nested.has_value());
+  EXPECT_TRUE(same_bits(delay_table(pooled), delay_table(*nested)));
+}
+
+TEST(Topology, ShortestPathsReproduceDelaysOnWaxmanTopologies) {
+  for (const int n : {2, 7, 20, 45}) {
+    util::Rng rng(static_cast<std::uint64_t>(100 + n));
+    TopologyParams params;
+    params.num_stations = n;
+    expect_paths_reproduce_delays(generate_topology(params, rng));
+  }
+}
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+struct Fnv1a {
+  std::uint64_t hash = 14695981039346656037ULL;
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (word >> (8 * i)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  }
+  void add_double(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+TEST(Topology, DelayTableHashIsPinned) {
+  // A drift in any distance bit fails here before it reaches the goldens.
+  util::Rng rng(1);
+  TopologyParams params;
+  params.num_stations = 300;
+  const Topology topo = generate_topology(params, rng);
+  Fnv1a fnv;
+  for (const double d : delay_table(topo)) fnv.add_double(d);
+  EXPECT_EQ(fnv.hash, 0x0ee0b361c2c89e01ULL);
 }
 
 class GeneratorSeeds : public ::testing::TestWithParam<unsigned> {};
@@ -255,6 +471,47 @@ TEST(PlacementLatency, SplitPlacementChainsHops) {
                std::invalid_argument);
 }
 
+TEST(MinPlacementLatencies, MatchSingleRequestHelperBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Stations 3 and 4 cannot be reached from 0-2 (+inf latency there).
+  std::vector<BaseStation> stations{
+      {0, 3000.0, 2.0, 0.0, 0.0}, {1, 3000.0, 1.0, 0.0, 0.0},
+      {2, 3000.0, 0.5, 0.0, 0.0}, {3, 3000.0, 0.1, 0.0, 0.0},
+      {4, 3000.0, 3.0, 0.0, 0.0}};
+  const Topology topo(std::move(stations),
+                      {{0, 1, 1.5}, {1, 2, 0.7}, {3, 4, 2.0}});
+  std::vector<ARRequest> requests;
+  for (int j = 0; j < 60; ++j) {
+    ARRequest req;
+    req.id = j;
+    req.home_station = j % 5;
+    req.tasks = ar_pipeline(3 + j % 3);  // repeated (home, weight) keys
+    requests.push_back(req);
+  }
+  // Hand-set weights, including one whose every latency is +inf.
+  for (const double w : {0.0, 0.1, 1e-300, 7.25, 1e300, kInf}) {
+    ARRequest req;
+    req.id = static_cast<int>(requests.size());
+    req.home_station = 1;
+    req.tasks = {TaskSpec{"a", 64.0, w}, TaskSpec{"b", 64.0, 0.3}};
+    requests.push_back(req);
+  }
+  const std::vector<double> batch = min_placement_latencies(topo, requests);
+  ASSERT_EQ(batch.size(), requests.size());
+  for (std::size_t j = 0; j < requests.size(); ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[j]),
+              std::bit_cast<std::uint64_t>(
+                  min_placement_latency_ms(topo, requests[j])))
+        << "request " << j;
+  }
+  EXPECT_TRUE(std::isinf(batch.back()));
+  EXPECT_TRUE(min_placement_latencies(topo, {}).empty());
+
+  requests[7].home_station = 5;
+  EXPECT_THROW((void)min_placement_latencies(topo, requests),
+               std::out_of_range);
+}
+
 TEST(Workload, OfflineRequestsArriveAtSlotZero) {
   util::Rng rng(3);
   const Topology topo = generate_topology(TopologyParams{}, rng);
@@ -312,6 +569,45 @@ TEST(Workload, GeneratorRejectsBadTopologyParams) {
   TopologyParams params;
   params.num_stations = 0;
   EXPECT_THROW(generate_topology(params, rng), std::invalid_argument);
+}
+
+TEST(Workload, GeneratedRequestsHashIsPinned) {
+  // A change to any draw or any field of a generated request fails here
+  // before it reaches the goldens.
+  util::Rng rng(7);
+  TopologyParams tparams;
+  tparams.num_stations = 100;
+  const Topology topo = generate_topology(tparams, rng);
+  WorkloadParams wparams;
+  wparams.num_requests = 5000;
+  wparams.horizon_slots = 400;
+  wparams.arrivals = ArrivalProcess::kFlashCrowd;
+  const auto requests = generate_requests(wparams, topo, rng);
+  const auto realized = core::realize_demand_levels(requests, rng);
+  Fnv1a fnv;
+  for (const ARRequest& req : requests) {
+    fnv.add(static_cast<std::uint64_t>(req.id));
+    fnv.add(static_cast<std::uint64_t>(req.home_station));
+    fnv.add(req.tasks.size());
+    for (const TaskSpec& task : req.tasks) {
+      fnv.add_double(task.output_kb);
+      fnv.add_double(task.proc_weight);
+      for (const char c : task.name) {
+        fnv.add(static_cast<unsigned char>(c));
+      }
+    }
+    fnv.add(req.demand.size());
+    for (const RateLevel& level : req.demand.levels()) {
+      fnv.add_double(level.rate);
+      fnv.add_double(level.prob);
+      fnv.add_double(level.reward);
+    }
+    fnv.add_double(req.latency_budget_ms);
+    fnv.add(static_cast<std::uint64_t>(req.arrival_slot));
+    fnv.add(static_cast<std::uint64_t>(req.duration_slots));
+  }
+  for (const std::size_t level : realized) fnv.add(level);
+  EXPECT_EQ(fnv.hash, 0xa4be1591685144e6ULL);
 }
 
 TEST(Workload, SingleRateLevelIsDegenerate) {

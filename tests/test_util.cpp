@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -112,6 +113,49 @@ TEST(Rng, CategoricalRejectsDegenerateWeights) {
   EXPECT_THROW(rng.categorical(zero), std::invalid_argument);
   const std::vector<double> negative{1.0, -0.5};
   EXPECT_THROW(rng.categorical(negative), std::invalid_argument);
+}
+
+/// Reference categorical draw: sum the weights in index order, then
+/// subtract them from one scaled uniform until it goes negative.
+std::size_t reference_categorical(Rng& rng, const std::vector<double>& w) {
+  double total = 0.0;
+  for (double x : w) total += x;
+  double target = rng.uniform() * total;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    target -= w[i];
+    if (target < 0.0) return i;
+  }
+  return w.size() - 1;
+}
+
+TEST(Categorical, MatchesTheReferenceScanOverManyDraws) {
+  std::vector<double> zipf(1000);
+  for (std::size_t i = 0; i < zipf.size(); ++i) {
+    zipf[i] = 1.0 / std::pow(static_cast<double>(i) + 1.0, 1.0);
+  }
+  const std::vector<std::vector<double>> cases{zipf,
+                                               std::vector<double>(1000, 1.0)};
+  for (const std::vector<double>& weights : cases) {
+    const Categorical dist(weights);
+    Rng reference(31), shared(31), member(31);
+    for (int draw = 0; draw < 100000; ++draw) {
+      const std::size_t want = reference_categorical(reference, weights);
+      ASSERT_EQ(dist.sample(shared), want) << "draw " << draw;
+      ASSERT_EQ(member.categorical(weights), want) << "draw " << draw;
+    }
+    EXPECT_EQ(shared.state(), reference.state());
+    EXPECT_EQ(member.state(), reference.state());
+  }
+}
+
+TEST(Categorical, RejectsZeroSumAndNegativeWeights) {
+  const std::vector<double> zero{0.0, 0.0};
+  const std::vector<double> negative{1.0, -0.5};
+  EXPECT_THROW(Categorical{zero}, std::invalid_argument);
+  EXPECT_THROW(Categorical{negative}, std::invalid_argument);
+  EXPECT_THROW(Categorical{std::vector<double>{}}, std::invalid_argument);
+  const std::vector<double> weights{0.25, 0.0, 0.5};
+  EXPECT_EQ(Categorical(weights).total(), 0.75);
 }
 
 TEST(Rng, CategoricalOrNoneReturnsSizeForResidual) {
@@ -344,6 +388,24 @@ TEST(Cli, TrailingJunkIsNotSilentlyTruncated) {
     // The diagnostic names the flag and the offending value.
     EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("12abs"), std::string::npos);
+  }
+}
+
+TEST(Cli, IntFlagRejectsValuesOutsideTheIntRange) {
+  const char* argv[] = {"prog", "--big=4294967297", "--low=-2147483649",
+                        "--ok=-2147483648", "--empty="};
+  Cli cli(5, argv);
+  EXPECT_EQ(int_flag(cli, "ok"), std::numeric_limits<int>::min());
+  EXPECT_EQ(int_flag(cli, "empty", 7), 7);
+  EXPECT_EQ(int_flag(cli, "absent", 600), 600);
+  EXPECT_EQ(int_flag(cli, "absent"), 0);
+  EXPECT_THROW((void)int_flag(cli, "low"), std::invalid_argument);
+  try {
+    (void)int_flag(cli, "big", 600);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--big is out of range"),
+              std::string::npos);
   }
 }
 

@@ -72,8 +72,8 @@ struct Common {
 Common common_flags(const util::Cli& cli) {
   return Common{
       static_cast<std::uint64_t>(cli.get_int_or("seed", 42)),
-      static_cast<int>(cli.get_int_or("requests", 150)),
-      static_cast<int>(cli.get_int_or("stations", 20)),
+      util::int_flag(cli, "requests", 150),
+      util::int_flag(cli, "stations", 20),
   };
 }
 
@@ -120,7 +120,7 @@ int cmd_offline(const util::Cli& cli) {
 
 int cmd_online(const util::Cli& cli) {
   const Common common = common_flags(cli);
-  const int horizon = static_cast<int>(cli.get_int_or("horizon", 600));
+  const int horizon = util::int_flag(cli, "horizon", 600);
   util::Rng rng(common.seed);
   const mec::Topology topo = make_topology(common, rng);
   mec::WorkloadParams wparams;
@@ -169,7 +169,7 @@ int cmd_online(const util::Cli& cli) {
 
 int cmd_resilience(const util::Cli& cli) {
   const Common common = common_flags(cli);
-  const int horizon = static_cast<int>(cli.get_int_or("horizon", 600));
+  const int horizon = util::int_flag(cli, "horizon", 600);
   util::Rng rng(common.seed);
   const mec::Topology topo = make_topology(common, rng);
   mec::WorkloadParams wparams;
@@ -478,7 +478,7 @@ int cmd_fuzz_lp(const util::Cli& cli) {
     std::cerr << "FAIL seed " << seed << ": " << why << '\n';
     return 1;
   }
-  const int seeds = static_cast<int>(cli.get_int_or("seeds", 200));
+  const int seeds = util::int_flag(cli, "seeds", 200);
   int failures = 0;
   for (int s = 0; s < seeds; ++s) {
     std::string why;
@@ -681,7 +681,7 @@ int cmd_fuzz_ckpt(const util::Cli& cli) {
     std::cerr << "FAIL seed " << seed << ": " << why << '\n';
     return 1;
   }
-  const int seeds = static_cast<int>(cli.get_int_or("seeds", 200));
+  const int seeds = util::int_flag(cli, "seeds", 200);
   int failures = 0;
   for (int s = 0; s < seeds; ++s) {
     std::string why;
@@ -710,18 +710,6 @@ int metric_precision(const std::string& metric) {
   return 2;
 }
 
-/// Reads integer flag `key` (absent or empty = 0). Like a scenario key, a
-/// value outside the int range is an error, not a silent truncation.
-int int_flag(const util::Cli& cli, const std::string& key) {
-  const std::int64_t v = cli.get_int_or(key, 0);
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument("flag --" + key + " is out of range: '" +
-                                cli.get_or(key, "") + "'");
-  }
-  return static_cast<int>(v);
-}
-
 int cmd_experiment(const util::Cli& cli) {
   const std::string path = cli.get_or("spec", "");
   if (path.empty()) {
@@ -744,10 +732,10 @@ int cmd_experiment(const util::Cli& cli) {
     }
   }
   exp::Runner runner(std::move(spec));
-  if (cli.has("seeds")) runner.set_seeds(int_flag(cli, "seeds"));
-  if (cli.has("horizon")) runner.set_horizon(int_flag(cli, "horizon"));
+  if (cli.has("seeds")) runner.set_seeds(util::int_flag(cli, "seeds"));
+  if (cli.has("horizon")) runner.set_horizon(util::int_flag(cli, "horizon"));
   if (cli.has("lp-budget")) {
-    const int pivots = int_flag(cli, "lp-budget");
+    const int pivots = util::int_flag(cli, "lp-budget");
     if (pivots < 1) {
       std::cerr << "mecar_cli: --lp-budget must be >= 1\n";
       return 1;
@@ -756,8 +744,7 @@ int cmd_experiment(const util::Cli& cli) {
   }
   exp::CheckpointOptions checkpoint;
   checkpoint.dir = cli.get_or("checkpoint-dir", "");
-  checkpoint.every_slots =
-      static_cast<int>(cli.get_int_or("checkpoint-every", 0));
+  checkpoint.every_slots = util::int_flag(cli, "checkpoint-every");
   checkpoint.resume = cli.has("resume");
   if (checkpoint.every_slots < 0) {
     std::cerr << "mecar_cli: --checkpoint-every must be >= 0\n";
@@ -771,11 +758,10 @@ int cmd_experiment(const util::Cli& cli) {
   }
   if (!checkpoint.dir.empty()) runner.set_checkpoint(checkpoint);
   if (cli.has("crash-at")) {
-    sim::arm_crash_at_slot(static_cast<int>(cli.get_int_or("crash-at", -1)));
+    sim::arm_crash_at_slot(util::int_flag(cli, "crash-at", -1));
   }
   if (cli.has("crash-after-units")) {
-    sim::arm_crash_after_units(
-        static_cast<int>(cli.get_int_or("crash-after-units", 0)));
+    sim::arm_crash_after_units(util::int_flag(cli, "crash-after-units"));
   }
   // A resumed run must sail past whatever killed it — scripted FaultPlan
   // crash slots included (they already fired in the crashed run).
