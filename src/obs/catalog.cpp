@@ -59,6 +59,19 @@ Metrics make_metrics() {
       reg.counter("sim.fault_epochs", "distinct fault epochs entered");
   m.sim_lp_fallbacks = reg.counter(
       "sim.lp_fallbacks", "slot LPs that fell back to the greedy policy");
+  m.sim_refused_station_down = reg.counter(
+      "sim.refused_activations.station_down",
+      "placements and re-placements refused because the station is down");
+  m.sim_refused_partition = reg.counter(
+      "sim.refused_activations.partition",
+      "re-placements refused because the backhaul cuts the user off the "
+      "station");
+  m.sim_refused_stale = reg.counter(
+      "sim.refused_activations.stale",
+      "activations of completed, dropped or not yet arrived requests");
+  m.sim_refused_over_budget = reg.counter(
+      "sim.refused_activations.over_budget",
+      "first placements refused because they exceed the latency budget");
   m.sim_degradation_level = reg.gauge(
       "sim.degradation_level",
       "degradation-ladder rung of the latest slot decision (0=warm LP "

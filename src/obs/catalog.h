@@ -42,6 +42,11 @@ struct Metrics {
   Counter sim_handovers;      // sim.handovers
   Counter sim_fault_epochs;   // sim.fault_epochs
   Counter sim_lp_fallbacks;   // sim.lp_fallbacks
+  // Activations the engine refused, by cause.
+  Counter sim_refused_station_down;  // sim.refused_activations.station_down
+  Counter sim_refused_partition;     // sim.refused_activations.partition
+  Counter sim_refused_stale;         // sim.refused_activations.stale
+  Counter sim_refused_over_budget;   // sim.refused_activations.over_budget
   Gauge sim_degradation_level;  // sim.degradation_level
   Histogram sim_slot_reward;  // sim.slot_reward
   Histogram sim_slot_wall_ms;   // sim.slot_wall_ms

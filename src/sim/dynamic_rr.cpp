@@ -4,7 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "bandit/epsilon_greedy.h"
 #include "bandit/thompson.h"
@@ -146,87 +148,87 @@ SlotDecision DynamicRrPolicy::decide(const SlotView& view) {
   // (same object), so behaviour is bit-identical.
   const mec::Topology& topo = view.topo != nullptr ? *view.topo : topo_;
 
-  // 2. Per-station round-robin floor: with threshold C^th, a station of
-  // capacity C holds at most floor(C / C^th) concurrent streams so that
-  // every stream's share stays >= C^th. Older residents have priority;
-  // the newest are preempted (paused) when the realized mix overflows.
-  // Brownout-scaled capacities shrink the quota automatically.
-  std::vector<int>& allowed = scratch_allowed_;
-  allowed.assign(static_cast<std::size_t>(topo.num_stations()), 0);
-  for (int bs = 0; bs < topo.num_stations(); ++bs) {
-    allowed[static_cast<std::size_t>(bs)] = std::max(
-        1, static_cast<int>(std::floor(topo.station(bs).capacity_mhz /
-                                       last_threshold_)));
-  }
+  const auto num_stations = static_cast<std::size_t>(topo.num_stations());
+  decision.active.reserve(view.pending.size());
 
-  std::vector<std::vector<int>>& residents = scratch_residents_;
-  residents.resize(static_cast<std::size_t>(topo.num_stations()));
-  for (std::vector<int>& r : residents) r.clear();
-  std::vector<int>& waiting = scratch_waiting_;
-  std::vector<int>& displaced = scratch_displaced_;  // needing re-placement
-  waiting.clear();
-  displaced.clear();
-  for (int j : view.pending) {
-    const RequestState& st = (*view.states)[static_cast<std::size_t>(j)];
-    if (st.phase == Phase::kServed) {
-      if (st.station >= 0) {
-        residents[static_cast<std::size_t>(st.station)].push_back(j);
-      } else {
-        displaced.push_back(j);
-      }
-    } else {
-      waiting.push_back(j);
-    }
-  }
-  // The threshold gates ADMISSION: a station holds at most `allowed`
-  // in-flight sessions, so every stream's round-robin share stays above
-  // C^th. Resident streams always receive service (no systematic
-  // preemption — pausing in-progress sessions only strands partial work);
-  // newcomers take the quota slots residents left free.
+  // 2. One pass over the pending list. Residents keep streaming at their
+  // sticky station, and each station adds up its residents' count (into
+  // slots_left) and realized demand (into residual_mhz), in ascending
+  // request order. Displaced streams and the waiting queue are set aside
+  // for the batch, each waiting request with its density key (step 4).
   std::vector<int>& slots_left = scratch_slots_left_;
-  slots_left = allowed;
   std::vector<double>& residual_mhz = scratch_residual_mhz_;
-  residual_mhz.assign(static_cast<std::size_t>(topo.num_stations()), 0.0);
-  for (int bs = 0; bs < topo.num_stations(); ++bs) {
-    const auto& ids = residents[static_cast<std::size_t>(bs)];
-    double used = 0.0;
-    for (int j : ids) {
-      decision.active.push_back({j, bs});
-      used += (*view.states)[static_cast<std::size_t>(j)].demand_mhz;
-    }
-    slots_left[static_cast<std::size_t>(bs)] = std::max(
-        0, allowed[static_cast<std::size_t>(bs)] -
-               static_cast<int>(ids.size()));
-    residual_mhz[static_cast<std::size_t>(bs)] =
-        std::max(0.0, topo.station(bs).capacity_mhz - used);
-    if (!view.is_up(bs)) {
-      slots_left[static_cast<std::size_t>(bs)] = 0;
-      residual_mhz[static_cast<std::size_t>(bs)] = 0.0;
+  slots_left.assign(num_stations, 0);
+  residual_mhz.assign(num_stations, 0.0);
+  std::vector<int>& displaced = scratch_displaced_;  // needing re-placement
+  std::vector<std::pair<double, int>>& by_density = scratch_by_density_;
+  displaced.clear();
+  by_density.clear();
+  for (const int j : view.pending) {
+    const RequestState& st = (*view.states)[static_cast<std::size_t>(j)];
+    if (st.phase != Phase::kServed) {
+      const auto& demand = (*view.requests)[static_cast<std::size_t>(j)].demand;
+      by_density.emplace_back(
+          demand.expected_reward() / std::max(1e-9, demand.expected_rate()),
+          j);
+    } else if (st.station < 0) {
+      displaced.push_back(j);
+    } else {
+      const auto bs = static_cast<std::size_t>(st.station);
+      decision.active.push_back({j, st.station});
+      ++slots_left[bs];
+      residual_mhz[bs] += st.demand_mhz;
     }
   }
 
-  // 3. New admissions: the waiting queue enters the LP-PT batch highest
+  // 3. Per-station round-robin floor: with threshold C^th, a station of
+  // capacity C holds at most floor(C / C^th) concurrent streams so that
+  // every stream's share stays >= C^th. The threshold gates ADMISSION:
+  // resident streams always receive service (no systematic preemption —
+  // pausing in-progress sessions only strands partial work); newcomers
+  // take the quota slots residents left free. Brownout-scaled capacities
+  // shrink the quota automatically; a down station admits nothing.
+  for (std::size_t b = 0; b < num_stations; ++b) {
+    const int bs = static_cast<int>(b);
+    if (!view.is_up(bs)) {
+      slots_left[b] = 0;
+      residual_mhz[b] = 0.0;
+      continue;
+    }
+    const double capacity = topo.station(bs).capacity_mhz;
+    // A tiny C^th puts the quota far beyond any int: saturate it (an
+    // unlimited quota) before the cast.
+    const int allowed = static_cast<int>(
+        std::clamp(std::floor(capacity / last_threshold_), 1.0,
+                   static_cast<double>(std::numeric_limits<int>::max())));
+    slots_left[b] = std::max(0, allowed - slots_left[b]);
+    residual_mhz[b] = std::max(0.0, capacity - residual_mhz[b]);
+  }
+
+  // 4. New admissions: the waiting queue enters the LP-PT batch highest
   // expected-reward density first — under saturation the LP cannot see the
   // whole queue, so the batch pre-selection must already favour the
   // requests the reward-maximizing LP would pick. Displaced streams (their
   // serving station died or the backhaul to it partitioned) join the same
   // batch ahead of newcomers: their demand is realized, their reward is
   // already partially earned, and re-placing them through the LP lets the
-  // batch trade them off against admissions coherently.
-  auto density = [&](int j) {
-    const auto& demand = (*view.requests)[static_cast<std::size_t>(j)].demand;
-    return demand.expected_reward() / std::max(1e-9, demand.expected_rate());
-  };
-  std::sort(waiting.begin(), waiting.end(), [&](int a, int b) {
-    const double da = density(a);
-    const double db = density(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  const int waiting_cap =
-      std::max(0, params_.max_batch - static_cast<int>(displaced.size()));
-  if (static_cast<int>(waiting.size()) > waiting_cap) {
-    waiting.resize(static_cast<std::size_t>(waiting_cap));
+  // batch trade them off against admissions coherently. Only the batch's
+  // share of the queue is ordered; (density desc, index asc) is a strict
+  // total order, so that prefix is the one a full sort gives.
+  const std::size_t waiting_cap = static_cast<std::size_t>(
+      std::max(0, params_.max_batch - static_cast<int>(displaced.size())));
+  const std::size_t batch_waiting = std::min(by_density.size(), waiting_cap);
+  std::partial_sort(by_density.begin(),
+                    by_density.begin() +
+                        static_cast<std::ptrdiff_t>(batch_waiting),
+                    by_density.end(), [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
+  std::vector<int>& waiting = scratch_waiting_;
+  waiting.clear();
+  for (std::size_t k = 0; k < batch_waiting; ++k) {
+    waiting.push_back(by_density[k].second);
   }
   if (!waiting.empty() || !displaced.empty()) {
     admit_new(topo, view, waiting, displaced, slots_left, residual_mhz,

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bandit/bandit.h"
@@ -185,8 +186,7 @@ class DynamicRrPolicy final : public OnlinePolicy {
   DegradationStats degradation_;
   /// Per-slot scratch reused across decide() calls so the steady-state
   /// slot allocates nothing (values are fully rewritten every slot).
-  std::vector<int> scratch_allowed_;
-  std::vector<std::vector<int>> scratch_residents_;
+  std::vector<std::pair<double, int>> scratch_by_density_;
   std::vector<int> scratch_waiting_;
   std::vector<int> scratch_displaced_;
   std::vector<int> scratch_slots_left_;

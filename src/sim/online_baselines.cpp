@@ -14,15 +14,18 @@ constexpr int kLocalCandidates = 3;
 
 /// Rebuilds per-station reservations from the simulator state: every
 /// unfinished admitted stream holds `estimate(request)` at its station.
+/// Every placed stream is pending, and the list ascends, so this walk
+/// occupies in the order a scan of every request would, at the cost of
+/// the live set.
 template <typename EstimateFn>
 core::StationLoad reservations(const mec::Topology& topo, const SlotView& view,
                                EstimateFn estimate) {
   core::StationLoad load(topo);
-  for (std::size_t j = 0; j < view.states->size(); ++j) {
-    const RequestState& st = (*view.states)[j];
+  for (const int j : view.pending) {
+    const auto i = static_cast<std::size_t>(j);
+    const RequestState& st = (*view.states)[i];
     if (st.phase == Phase::kServed && st.station >= 0) {
-      load.occupy(st.station,
-                  estimate((*view.requests)[j]));
+      load.occupy(st.station, estimate((*view.requests)[i]));
     }
   }
   return load;
@@ -78,6 +81,7 @@ GreedyOnlinePolicy::GreedyOnlinePolicy(const mec::Topology& topo,
 
 SlotDecision GreedyOnlinePolicy::decide(const SlotView& view) {
   SlotDecision decision;
+  decision.active.reserve(view.pending.size());
   const mec::Topology& topo = view.topo != nullptr ? *view.topo : topo_;
   auto peak = [&](const mec::ARRequest& r) {
     return r.demand.max_rate() * alg_.c_unit;
@@ -126,6 +130,7 @@ OcorpOnlinePolicy::OcorpOnlinePolicy(const mec::Topology& topo,
 
 SlotDecision OcorpOnlinePolicy::decide(const SlotView& view) {
   SlotDecision decision;
+  decision.active.reserve(view.pending.size());
   const mec::Topology& topo = view.topo != nullptr ? *view.topo : topo_;
   auto peak = [&](const mec::ARRequest& r) {
     return r.demand.max_rate() * alg_.c_unit;
@@ -176,6 +181,7 @@ HeuKktOnlinePolicy::HeuKktOnlinePolicy(const mec::Topology& topo,
 
 SlotDecision HeuKktOnlinePolicy::decide(const SlotView& view) {
   SlotDecision decision;
+  decision.active.reserve(view.pending.size());
   const mec::Topology& topo = view.topo != nullptr ? *view.topo : topo_;
   auto mean = [&](const mec::ARRequest& r) {
     return r.demand.expected_rate() * alg_.c_unit;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,25 +22,33 @@ namespace mecar::sim {
 
 namespace {
 
-/// Removes the (sorted, unique) indices in `gone` from sorted `list`.
-void remove_sorted(std::vector<int>& list, const std::vector<int>& gone) {
-  if (gone.empty()) return;
-  auto out = list.begin();
-  auto g = gone.begin();
-  for (auto it = list.begin(); it != list.end(); ++it) {
-    while (g != gone.end() && *g < *it) ++g;
-    if (g != gone.end() && *g == *it) continue;
-    *out++ = *it;
-  }
-  list.erase(out, list.end());
+/// Merges the (sorted, unique) indices in `add` into sorted `list`
+/// through `buf`. The two vectors swap storage, so both keep their
+/// capacity and a steady-state merge allocates nothing.
+void insert_sorted(std::vector<int>& list, const std::vector<int>& add,
+                   std::vector<int>& buf) {
+  if (add.empty()) return;
+  buf.clear();
+  std::merge(list.cbegin(), list.cend(), add.cbegin(), add.cend(),
+             std::back_inserter(buf));
+  list.swap(buf);
 }
 
-/// Merges the (sorted, unique) indices in `add` into sorted `list`.
-void insert_sorted(std::vector<int>& list, const std::vector<int>& add) {
-  if (add.empty()) return;
-  const auto old_size = static_cast<std::ptrdiff_t>(list.size());
-  list.insert(list.end(), add.begin(), add.end());
-  std::inplace_merge(list.begin(), list.begin() + old_size, list.end());
+/// Stable counting sort: afterwards `order` lists the positions i of
+/// `keys` (each key in [0, num_keys)) grouped by key, ascending i within a
+/// group, and key k's group is order[begin[k], begin[k + 1]). `next` is
+/// scratch; every vector keeps its capacity across calls.
+void counting_sort(std::span<const int> keys, std::size_t num_keys,
+                   std::vector<std::size_t>& begin,
+                   std::vector<std::size_t>& next, std::vector<int>& order) {
+  begin.assign(num_keys + 1, 0);
+  for (const int key : keys) ++begin[static_cast<std::size_t>(key) + 1];
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  next.assign(begin.begin(), begin.end() - 1);
+  order.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    order[next[static_cast<std::size_t>(keys[i])]++] = static_cast<int>(i);
+  }
 }
 
 /// Throws std::invalid_argument unless `snap` can continue a run of
@@ -89,40 +99,49 @@ double SlotView::waiting_ms(int request_index) const {
   return (slot - req.arrival_slot) * slot_ms;
 }
 
-std::vector<double> waterfill(double capacity,
-                              const std::vector<double>& demands) {
-  std::vector<double> alloc(demands.size(), 0.0);
-  if (demands.empty() || capacity <= 0.0) return alloc;
+void waterfill_into(double capacity, std::span<const double> demands,
+                    std::vector<double>& alloc,
+                    std::vector<std::size_t>& open) {
+  alloc.assign(demands.size(), 0.0);
+  if (demands.empty() || capacity <= 0.0) return;
   for (double d : demands) {
     if (d < 0.0) throw std::invalid_argument("waterfill: negative demand");
   }
-  std::vector<std::size_t> open(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) open[i] = i;
+  // Each round offers every open demand an equal share of what is left;
+  // the saturated ones leave, and the open list compacts in place.
+  open.resize(demands.size());
+  std::iota(open.begin(), open.end(), std::size_t{0});
+  std::size_t num_open = open.size();
   double remaining = capacity;
-  while (!open.empty() && remaining > 1e-12) {
-    const double share = remaining / static_cast<double>(open.size());
-    std::vector<std::size_t> still_open;
+  while (num_open > 0 && remaining > 1e-12) {
+    const double share = remaining / static_cast<double>(num_open);
+    std::size_t still_open = 0;
     bool saturated_any = false;
-    for (std::size_t i : open) {
+    for (std::size_t k = 0; k < num_open; ++k) {
+      const std::size_t i = open[k];
       const double need = demands[i] - alloc[i];
       if (need <= share + 1e-12) {
         alloc[i] += need;
         remaining -= need;
         saturated_any = true;
       } else {
-        still_open.push_back(i);
+        open[still_open++] = i;
       }
     }
     if (!saturated_any) {
       // Everyone open wants more than the share: split evenly and stop.
-      for (std::size_t i : still_open) {
-        alloc[i] += share;
-      }
-      remaining = 0.0;
-      break;
+      for (std::size_t k = 0; k < still_open; ++k) alloc[open[k]] += share;
+      return;
     }
-    open = std::move(still_open);
+    num_open = still_open;
   }
+}
+
+std::vector<double> waterfill(double capacity,
+                              const std::vector<double>& demands) {
+  std::vector<double> alloc;
+  std::vector<std::size_t> open;
+  waterfill_into(capacity, demands, alloc, open);
   return alloc;
 }
 
@@ -260,38 +279,46 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   // Streams active and kServed after the latest slot (preemption check).
   std::vector<int> prev_active;
 
-  // Arrival order: requests arriving before the horizon, by clamped slot
-  // max(arrival_slot, 0), ascending index within a slot. Pre-horizon
-  // arrivals join at slot 0 (but are never counted in `arrived`); later
-  // ones are never live.
-  const auto arrival_slot_of = [&](int j) {
-    return std::max(requests[static_cast<std::size_t>(j)].arrival_slot, 0);
+  // Arrival order: a counting sort of the requests by clamped slot
+  // max(arrival_slot, 0), ascending index within a slot, so slot t's
+  // arrivals are arrivals[arrival_begin[t], arrival_begin[t + 1]).
+  // Pre-horizon arrivals join at slot 0 (but are never counted in
+  // `arrived`); requests arriving at or after the horizon share the last
+  // bucket and are never live.
+  const auto arrival_slot_of = [&](std::size_t j) {
+    return std::max(requests[j].arrival_slot, 0);
   };
+  std::vector<std::size_t> arrival_begin;
   std::vector<int> arrivals;
-  for (std::size_t j = 0; j < num_requests; ++j) {
-    if (requests[j].arrival_slot < horizon) {
-      arrivals.push_back(static_cast<int>(j));
+  {
+    std::vector<int> slot_of(num_requests);
+    for (std::size_t j = 0; j < num_requests; ++j) {
+      slot_of[j] = std::min(arrival_slot_of(j), horizon);
     }
+    std::vector<std::size_t> next;
+    counting_sort(slot_of, static_cast<std::size_t>(horizon) + 1,
+                  arrival_begin, next, arrivals);
   }
-  std::stable_sort(arrivals.begin(), arrivals.end(), [&](int a, int b) {
-    return arrival_slot_of(a) < arrival_slot_of(b);
-  });
-  auto next_arrival = arrivals.cbegin();
 
-  // Per-slot scratch, reused so steady-state slots keep their capacity.
+  // Per-slot scratch, reused so steady-state slots keep their capacity and
+  // allocate nothing.
   std::vector<int> candidates;  // waiting + this slot's arrivals
-  std::vector<int> pending;
-  std::vector<int> lost;      // placements displaced this slot
-  std::vector<int> admitted;  // leave `waiting`
-  std::vector<int> replaced;  // leave `displaced`
-  std::vector<int> placed;    // enter `served`
-  std::vector<int> done;      // completions, leave `served`
-  std::vector<std::pair<int, int>> residents;  // (station, request)
+  std::vector<int> merged;      // insert_sorted's buffer
+  std::vector<int> lost;        // placements displaced this slot
+  // The water-fill's (station, request) order: a counting sort of the
+  // flags' stations. Station s's residents are flags[by_station[k]] for k
+  // in [station_begin[s], station_begin[s + 1]).
+  std::vector<int> flag_station;
+  std::vector<std::size_t> station_begin;
+  std::vector<std::size_t> station_next;
+  std::vector<int> by_station;
   std::vector<double> demands;
+  std::vector<double> shares;
+  std::vector<std::size_t> open;
 
   // Resume: overwrite the canonical state with the snapshot, then
-  // re-derive everything else (live sets, activation flags, lazy eff_min,
-  // the arrival cursor) exactly as the uninterrupted run holds it.
+  // re-derive everything else (live sets, activation flags, lazy eff_min)
+  // exactly as the uninterrupted run holds it.
   int start_slot = 0;
   if (resume != nullptr) {
     start_slot = resume->next_slot;
@@ -311,10 +338,6 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     prev_up = resume->prev_up;
     epoch_index = resume->epoch_index;
     epoch_begin_slot = resume->epoch_begin_slot;
-    while (next_arrival != arrivals.cend() &&
-           arrival_slot_of(*next_arrival) < start_slot) {
-      ++next_arrival;
-    }
     for (std::size_t j = 0; j < num_requests; ++j) {
       const RequestState& st = states[j];
       const int ji = static_cast<int>(j);
@@ -325,7 +348,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
       // A kWaiting request is live iff a pre-resume slot routed its
       // arrival; this slot's arrivals join inside the loop.
       if (st.phase == Phase::kWaiting && requests[j].arrival_slot < horizon &&
-          arrival_slot_of(ji) < start_slot) {
+          arrival_slot_of(j) < start_slot) {
         waiting.push_back(ji);
       } else if (st.phase == Phase::kServed && st.station >= 0) {
         served.push_back(ji);
@@ -350,6 +373,13 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     // run that wrote it.
     pr.expect_end();
   }
+
+  // The policy's view, reused across slots: its pending list and
+  // availability vector keep their capacity.
+  SlotView view;
+  view.slot_ms = params_.slot_ms;
+  view.requests = &requests;
+  view.states = &states;
 
   for (int t = start_slot; t < horizon; ++t) {
     if (hook != nullptr && hook->want_snapshot(t)) {
@@ -432,14 +462,21 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         }
       }
       prev_up = up;
+      // Streams whose station died or whose user the backhaul cut off
+      // leave `served` (compacted in place) for `displaced`.
       lost.clear();
-      for (const int ji : served) {
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < served.size(); ++k) {
+        const int ji = served[k];
         const auto j = static_cast<std::size_t>(ji);
         RequestState& st = states[j];
         const bool station_down = up[static_cast<std::size_t>(st.station)] == 0;
         const bool unreachable = !std::isfinite(active->transmission_delay_ms(
             requests[j].home_station, st.station));
-        if (!station_down && !unreachable) continue;
+        if (!station_down && !unreachable) {
+          served[kept++] = ji;
+          continue;
+        }
         lost.push_back(ji);
         st.station = -1;  // displaced; policy must re-place
         ++metrics.displaced;
@@ -455,22 +492,23 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         }
         if (displaced_at[j] < 0) displaced_at[j] = t;
       }
-      remove_sorted(served, lost);
-      insert_sorted(displaced, lost);
+      served.resize(kept);
+      insert_sorted(displaced, lost, merged);
     }
 
     // 1. Arrivals and starvation drops over the carried waiting list
     // merged with this slot's arrivals, in ascending request order.
-    const auto first_arrival = next_arrival;
-    for (; next_arrival != arrivals.cend() &&
-           arrival_slot_of(*next_arrival) <= t;
-         ++next_arrival) {
-      const auto j = static_cast<std::size_t>(*next_arrival);
-      if (requests[j].arrival_slot == t) ++metrics.arrived;
+    const auto slot = static_cast<std::size_t>(t);
+    const auto slot_arrivals = std::span<const int>(arrivals).subspan(
+        arrival_begin[slot], arrival_begin[slot + 1] - arrival_begin[slot]);
+    for (const int ji : slot_arrivals) {
+      if (requests[static_cast<std::size_t>(ji)].arrival_slot == t) {
+        ++metrics.arrived;
+      }
     }
     candidates.clear();
-    std::merge(waiting.cbegin(), waiting.cend(), first_arrival, next_arrival,
-               std::back_inserter(candidates));
+    std::merge(waiting.cbegin(), waiting.cend(), slot_arrivals.begin(),
+               slot_arrivals.end(), std::back_inserter(candidates));
     waiting.clear();
     double dropped_expected = 0.0;
     for (const int ji : candidates) {
@@ -505,39 +543,32 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     }
 
     // Pending = waiting ∪ served ∪ displaced, ascending.
+    std::vector<int>& pending = view.pending;
     pending.clear();
     std::merge(waiting.cbegin(), waiting.cend(), served.cbegin(),
                served.cend(), std::back_inserter(pending));
-    insert_sorted(pending, displaced);
+    insert_sorted(pending, displaced, merged);
 
-    SlotView view;
     view.slot = t;
-    view.slot_ms = params_.slot_ms;
     view.station_up = up;
     view.lp_pivot_budget = slot_lp_budget;
     view.lp_fault = slot_lp_fault;
     view.topo = active;
-    view.requests = &requests;
-    view.states = &states;
-    view.pending = std::move(pending);
     if (tracing) {
-      tr.emit(obs::EventKind::kSlotBegin,
-              static_cast<double>(view.pending.size()));
+      tr.emit(obs::EventKind::kSlotBegin, static_cast<double>(pending.size()));
     }
 
     // 2. Policy decision.
     const SlotDecision decision = policy.decide(view);
-    pending = std::move(view.pending);
 
     // 3. Apply activations in decision order. The previous slot's flags
-    // are the only ones set, so only they are reset.
+    // are the only ones set, so only they are reset. A resident's
+    // activation only sets its flag (its placement is sticky); the other
+    // accepted ones place a waiting request or re-place a displaced
+    // stream. Every refusal is counted by cause.
     for (const int ji : flags) {
       states[static_cast<std::size_t>(ji)].active_this_slot = false;
     }
-    flags.clear();
-    admitted.clear();
-    replaced.clear();
-    placed.clear();
     for (const SlotDecision::Activation& act : decision.active) {
       if (act.request_index < 0 ||
           act.request_index >= static_cast<int>(num_requests)) {
@@ -545,22 +576,32 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
       }
       const auto j = static_cast<std::size_t>(act.request_index);
       RequestState& st = states[j];
+      if (st.phase == Phase::kServed && st.station >= 0) {
+        st.active_this_slot = true;
+        continue;
+      }
       const mec::ARRequest& req = requests[j];
       if (req.arrival_slot > t || st.phase == Phase::kCompleted ||
           st.phase == Phase::kDropped) {
-        continue;  // stale activation; ignore
+        om.sim_refused_stale.add();
+        continue;
       }
-      if (st.phase == Phase::kWaiting) {
-        if (act.station < 0 || act.station >= num_stations) {
-          throw std::out_of_range("OnlineSimulator: bad placement station");
-        }
-        if (up[static_cast<std::size_t>(act.station)] == 0) {
-          continue;  // placed onto a failed station; refuse
-        }
+      const bool waiting_request = st.phase == Phase::kWaiting;
+      if (act.station < 0 || act.station >= num_stations) {
+        throw std::out_of_range(
+            waiting_request ? "OnlineSimulator: bad placement station"
+                            : "OnlineSimulator: bad re-placement station");
+      }
+      if (up[static_cast<std::size_t>(act.station)] == 0) {
+        om.sim_refused_station_down.add();
+        continue;
+      }
+      if (waiting_request) {
         const double wait_ms = (t - req.arrival_slot) * params_.slot_ms;
         const double lat =
             wait_ms + mec::placement_latency_ms(*active, req, act.station);
         if (lat > req.latency_budget_ms) {
+          om.sim_refused_over_budget.add();
           util::log_debug() << "policy " << policy.name()
                             << " placed request " << req.id
                             << " beyond its latency budget; ignoring";
@@ -573,8 +614,6 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
           tr.emit(obs::EventKind::kAdmission, static_cast<double>(j),
                   act.station);
         }
-        admitted.push_back(act.request_index);
-        placed.push_back(act.request_index);
         st.station = act.station;
         st.first_service_slot = t;
         st.realized_level = level;
@@ -582,18 +621,13 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         st.work_total = st.demand_mhz * req.duration_slots;
         st.work_done = 0.0;
         st.latency_ms = lat;
-      } else if (st.station < 0) {
+      } else {
         // Displaced stream: the activation re-places it (progress kept).
-        if (act.station < 0 || act.station >= num_stations) {
-          throw std::out_of_range("OnlineSimulator: bad re-placement station");
-        }
-        if (up[static_cast<std::size_t>(act.station)] == 0) continue;
         if (chaos && !std::isfinite(active->transmission_delay_ms(
                          req.home_station, act.station))) {
-          continue;  // re-placed across a partition; refuse
+          om.sim_refused_partition.add();
+          continue;
         }
-        replaced.push_back(act.request_index);
-        placed.push_back(act.request_index);
         st.station = act.station;
         if (displaced_at[j] >= 0) {
           ++metrics.resilience.recovered;
@@ -602,16 +636,31 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         }
       }
       st.active_this_slot = true;
-      flags.push_back(act.request_index);
     }
-    std::sort(flags.begin(), flags.end());
-    flags.erase(std::unique(flags.begin(), flags.end()), flags.end());
-    std::sort(admitted.begin(), admitted.end());
-    std::sort(replaced.begin(), replaced.end());
-    std::sort(placed.begin(), placed.end());
-    remove_sorted(waiting, admitted);
-    remove_sorted(displaced, replaced);
-    insert_sorted(served, placed);
+    // Every accepted activation is live, so one pass over the sorted
+    // pending list yields this slot's flags and the three live sets,
+    // each still ascending.
+    flags.clear();
+    flag_station.clear();
+    waiting.clear();
+    served.clear();
+    displaced.clear();
+    for (const int ji : pending) {
+      const RequestState& st = states[static_cast<std::size_t>(ji)];
+      if (st.phase == Phase::kWaiting) {
+        waiting.push_back(ji);
+        continue;
+      }
+      if (st.station < 0) {
+        displaced.push_back(ji);
+        continue;
+      }
+      served.push_back(ji);
+      if (st.active_this_slot) {
+        flags.push_back(ji);
+        flag_station.push_back(st.station);
+      }
+    }
 
     // Preemptions: placed streams the policy served last slot but left
     // idle this slot (displacements already zeroed their station above).
@@ -628,60 +677,62 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     }
 
     // 4. Per-station max-min fair allocation among active streams, in
-    // (station, request) order.
-    residents.clear();
-    for (const int ji : flags) {
-      const RequestState& st = states[static_cast<std::size_t>(ji)];
-      if (st.phase == Phase::kServed && st.station >= 0) {
-        residents.emplace_back(st.station, ji);
-      }
-    }
-    std::sort(residents.begin(), residents.end());
+    // (station, request) order: a counting sort buckets the ascending
+    // flags by station, so each bucket stays in ascending request order.
     double slot_reward = 0.0;
     double slot_allocated = 0.0;
-    done.clear();
-    for (std::size_t k = 0; k < residents.size();) {
-      const int bs = residents[k].first;
-      demands.clear();
-      for (std::size_t e = k; e < residents.size() && residents[e].first == bs;
-           ++e) {
-        const RequestState& st =
-            states[static_cast<std::size_t>(residents[e].second)];
-        demands.push_back(
-            std::min(st.demand_mhz, st.work_total - st.work_done));
-      }
-      // Capacity comes from the effective topology: a brownout shrinks the
-      // pool every resident stream water-fills from.
-      for (const double share :
-           waterfill(active->station(bs).capacity_mhz, demands)) {
-        const int ji = residents[k++].second;
-        const auto j = static_cast<std::size_t>(ji);
-        RequestState& st = states[j];
-        st.work_done += share;
-        slot_allocated += share;
-        if (st.work_done >= st.work_total - 1e-9) {
-          st.phase = Phase::kCompleted;
-          om.sim_completions.add();
-          st.reward = requests[j].demand.level(st.realized_level).reward;
-          slot_reward += st.reward;
-          if (params_.collect_detail) {
-            metrics.completed_latencies_ms.push_back(st.latency_ms);
+    bool completed_any = false;
+    if (!flags.empty()) {
+      const auto stations = static_cast<std::size_t>(num_stations);
+      counting_sort(flag_station, stations, station_begin, station_next,
+                    by_station);
+      const auto resident = [&](std::size_t k) {
+        return static_cast<std::size_t>(
+            flags[static_cast<std::size_t>(by_station[k])]);
+      };
+      for (std::size_t bs = 0; bs < stations; ++bs) {
+        const std::size_t begin = station_begin[bs];
+        const std::size_t end = station_begin[bs + 1];
+        if (begin == end) continue;
+        demands.clear();
+        for (std::size_t k = begin; k < end; ++k) {
+          const RequestState& st = states[resident(k)];
+          demands.push_back(
+              std::min(st.demand_mhz, st.work_total - st.work_done));
+        }
+        // Capacity comes from the effective topology: a brownout shrinks
+        // the pool every resident stream water-fills from.
+        waterfill_into(active->station(static_cast<int>(bs)).capacity_mhz,
+                       demands, shares, open);
+        for (std::size_t k = begin; k < end; ++k) {
+          const double share = shares[k - begin];
+          const std::size_t j = resident(k);
+          RequestState& st = states[j];
+          st.work_done += share;
+          slot_allocated += share;
+          if (st.work_done >= st.work_total - 1e-9) {
+            st.phase = Phase::kCompleted;
+            om.sim_completions.add();
+            st.reward = requests[j].demand.level(st.realized_level).reward;
+            slot_reward += st.reward;
+            if (params_.collect_detail) {
+              metrics.completed_latencies_ms.push_back(st.latency_ms);
+            }
+            completed_any = true;
           }
-          done.push_back(ji);
         }
       }
     }
-    std::sort(done.begin(), done.end());
-    remove_sorted(served, done);
-    metrics.per_slot_reward[static_cast<std::size_t>(t)] = slot_reward;
+    const auto completed = [&](int ji) {
+      return states[static_cast<std::size_t>(ji)].phase == Phase::kCompleted;
+    };
+    if (completed_any) std::erase_if(served, completed);
+    metrics.per_slot_reward[slot] = slot_reward;
     metrics.total_reward += slot_reward;
     om.sim_slot_reward.observe(slot_reward);
     prev_active.clear();
-    for (const int ji : flags) {
-      if (states[static_cast<std::size_t>(ji)].phase == Phase::kServed) {
-        prev_active.push_back(ji);
-      }
-    }
+    std::remove_copy_if(flags.cbegin(), flags.cend(),
+                        std::back_inserter(prev_active), completed);
     if (tracing) {
       tr.emit(obs::EventKind::kSlotEnd, slot_reward,
               static_cast<double>(prev_active.size()));

@@ -16,6 +16,7 @@
 // the failure mode DynamicRR's threshold learning avoids).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -283,8 +284,17 @@ class OnlineSimulator {
 
 /// Max-min fair allocation of `capacity` among demands with per-request
 /// caps: every demand gets min(cap_i, fair share), water-filling the rest.
-/// Exposed for tests.
+/// Throws std::invalid_argument on a negative demand.
 std::vector<double> waterfill(double capacity,
                               const std::vector<double>& demands);
+
+/// waterfill() into caller-owned buffers, for a caller that fills many
+/// stations in a row: `alloc` is overwritten with demands.size() shares
+/// and `open` is scratch. Once both have grown to the largest station's
+/// size, a call allocates nothing. waterfill() is this routine with
+/// fresh buffers.
+void waterfill_into(double capacity, std::span<const double> demands,
+                    std::vector<double>& alloc,
+                    std::vector<std::size_t>& open);
 
 }  // namespace mecar::sim

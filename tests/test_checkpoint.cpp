@@ -21,6 +21,7 @@
 
 #include "exp/instance.h"
 #include "exp/registry.h"
+#include "online_fixtures.h"
 #include "sim/checkpoint.h"
 #include "sim/dynamic_rr.h"
 #include "sim/online_sim.h"
@@ -33,43 +34,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x54504b43u;  // "CKPT" (test-local frame)
 constexpr std::uint32_t kVersion = 1;
 
-exp::Instance busy_instance(unsigned seed, int horizon) {
-  exp::InstanceConfig config;
-  config.num_requests = 200;
-  config.num_stations = 10;
-  config.horizon_slots = horizon;
-  return exp::make_instance(seed, config);
-}
-
-/// Chaos the resume path must survive: outages, a brownout, a link cut,
-/// solver faults, and one-way mobility, all straddling the capture slot
-/// so in-flight fault state lands inside the snapshot.
-OnlineParams chaos_params(const exp::Instance& inst, int horizon) {
-  OnlineParams params;
-  params.horizon_slots = horizon;
-  params.collect_detail = true;
-  params.faults.station_outages.push_back({2, 40, 90});
-  params.faults.station_outages.push_back({7, 100, 150});
-  params.faults.brownouts.push_back({4, 60, 140, 0.4});
-  if (!inst.topo.links().empty()) {
-    params.faults.link_outages.push_back({0, 80, 130});
-  }
-  params.faults.solver_budgets.push_back({30, 80, 6});
-  params.faults.solver_jams.push_back({110, 140});
-  params.mobility.push_back({5, 50, 9});
-  params.mobility.push_back({12, 70, 0});
-  params.mobility.push_back({30, 120, 8});
-  return params;
-}
-
-/// A fresh policy by registry name, built the way the scenario runner
-/// builds it (default parameters, policy seed 7).
-std::unique_ptr<OnlinePolicy> make_policy(const std::string& name,
-                                          const mec::Topology& topo) {
-  return exp::PolicyRegistry::global().make_online(
-      name, topo, core::AlgorithmParams{}, DynamicRrParams{}, util::Rng(7));
-}
-
 struct CaptureHook final : SlotHook {
   int at_slot;
   std::optional<SimSnapshot> snap;
@@ -77,35 +41,6 @@ struct CaptureHook final : SlotHook {
   bool want_snapshot(int slot) override { return slot == at_slot; }
   void on_snapshot(int, SimSnapshot s) override { snap = std::move(s); }
 };
-
-void expect_identical(const OnlineMetrics& a, const OnlineMetrics& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.total_reward, b.total_reward) << label;
-  EXPECT_EQ(a.arrived, b.arrived) << label;
-  EXPECT_EQ(a.completed, b.completed) << label;
-  EXPECT_EQ(a.dropped, b.dropped) << label;
-  EXPECT_EQ(a.unfinished, b.unfinished) << label;
-  EXPECT_EQ(a.displaced, b.displaced) << label;
-  EXPECT_EQ(a.handovers, b.handovers) << label;
-  EXPECT_EQ(a.avg_latency_ms, b.avg_latency_ms) << label;
-  EXPECT_EQ(a.per_slot_reward, b.per_slot_reward) << label;
-  EXPECT_EQ(a.completed_latencies_ms, b.completed_latencies_ms) << label;
-  EXPECT_EQ(a.per_slot_utilization, b.per_slot_utilization) << label;
-  EXPECT_EQ(a.service_ratios, b.service_ratios) << label;
-  const ResilienceReport& ra = a.resilience;
-  const ResilienceReport& rb = b.resilience;
-  EXPECT_EQ(ra.fault_epochs, rb.fault_epochs) << label;
-  EXPECT_EQ(ra.displaced_outage, rb.displaced_outage) << label;
-  EXPECT_EQ(ra.displaced_partition, rb.displaced_partition) << label;
-  EXPECT_EQ(ra.recovered, rb.recovered) << label;
-  EXPECT_EQ(ra.mean_recovery_slots, rb.mean_recovery_slots) << label;
-  EXPECT_EQ(ra.unrecovered, rb.unrecovered) << label;
-  EXPECT_EQ(ra.dropped_starvation, rb.dropped_starvation) << label;
-  EXPECT_EQ(ra.dropped_fault, rb.dropped_fault) << label;
-  EXPECT_EQ(ra.dropped_partition, rb.dropped_partition) << label;
-  EXPECT_EQ(ra.fault_dropped_expected_reward, rb.fault_dropped_expected_reward)
-      << label;
-}
 
 TEST(OnlineSimulator, RepeatRunsAreIdentical) {
   // One simulator, run twice under faults and one-way mobility. A re-home
