@@ -1,7 +1,9 @@
 #include "core/slot_lp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -16,6 +18,49 @@ namespace {
 bool nearer(const CandidateStation& a, const CandidateStation& b) {
   if (a.latency_ms != b.latency_ms) return a.latency_ms < b.latency_ms;
   return a.station < b.station;
+}
+
+/// The number of stations a candidate list keeps under `params`.
+std::size_t candidate_limit(const mec::Topology& topo,
+                            const AlgorithmParams& params) {
+  const auto all = static_cast<std::size_t>(topo.num_stations());
+  return params.max_candidate_stations > 0
+             ? std::min(all, static_cast<std::size_t>(
+                                 params.max_candidate_stations))
+             : all;
+}
+
+/// The first `limit` stations in (latency, id) order among those whose
+/// latency from `home` at processing weight `weight` passes `waiting_ms +
+/// latency <= budget_ms`, from one scan of the home station's delay row.
+/// Every latency comes from the one placement_latency_ms expression.
+std::vector<CandidateStation> nearest_stations(const mec::Topology& topo,
+                                               int home, double weight,
+                                               std::size_t limit,
+                                               double waiting_ms,
+                                               double budget_ms) {
+  const std::span<const double> delay = topo.delays_from(home);
+  const std::vector<mec::BaseStation>& stations = topo.stations();
+  // A max-heap under nearer(): its front is the worst station kept so far,
+  // and a scanned station enters only when it beats that one.
+  std::vector<CandidateStation> kept;
+  kept.reserve(limit);
+  for (std::size_t bs = 0; bs < stations.size(); ++bs) {
+    const double lat = mec::placement_latency_ms(
+        delay[bs], weight, stations[bs].proc_ms_per_unit);
+    if (!(waiting_ms + lat <= budget_ms)) continue;
+    const CandidateStation cand{static_cast<int>(bs), lat};
+    if (kept.size() < limit) {
+      kept.push_back(cand);
+      std::push_heap(kept.begin(), kept.end(), nearer);
+    } else if (nearer(cand, kept.front())) {
+      std::pop_heap(kept.begin(), kept.end(), nearer);
+      kept.back() = cand;
+      std::push_heap(kept.begin(), kept.end(), nearer);
+    }
+  }
+  std::sort_heap(kept.begin(), kept.end(), nearer);
+  return kept;
 }
 
 /// Calls `row(bs, cols)` once per station that has columns, stations
@@ -45,33 +90,47 @@ std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,
                                                  double waiting_ms) {
-  const std::span<const double> delay = topo.delays_from(req.home_station);
-  const std::vector<mec::BaseStation>& stations = topo.stations();
+  return nearest_stations(topo, req.home_station, req.total_proc_weight(),
+                          candidate_limit(topo, params), waiting_ms,
+                          req.latency_budget_ms);
+}
+
+std::size_t CandidateMemo::KeyHash::operator()(const Key& key) const noexcept {
+  const auto mix = [](std::uint64_t x) {  // splitmix64's finalizer
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  const std::uint64_t home_limit =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.home)) << 32) ^
+      static_cast<std::uint64_t>(key.limit);
+  return static_cast<std::size_t>(mix(key.weight_bits ^ mix(home_limit)));
+}
+
+std::span<const CandidateStation> CandidateMemo::lookup(
+    const mec::Topology& topo, const mec::ARRequest& req,
+    const AlgorithmParams& params, double waiting_ms) {
   const double weight = req.total_proc_weight();
-  const std::size_t limit =
-      params.max_candidate_stations > 0
-          ? static_cast<std::size_t>(params.max_candidate_stations)
-          : stations.size();
-  // A max-heap under nearer(): its front is the worst station kept so far,
-  // and a scanned station enters only when it beats that one.
-  std::vector<CandidateStation> kept;
-  kept.reserve(std::min(limit, stations.size()));
-  for (std::size_t bs = 0; bs < stations.size(); ++bs) {
-    const double lat = mec::placement_latency_ms(
-        delay[bs], weight, stations[bs].proc_ms_per_unit);
-    if (!(waiting_ms + lat <= req.latency_budget_ms)) continue;
-    const CandidateStation cand{static_cast<int>(bs), lat};
-    if (kept.size() < limit) {
-      kept.push_back(cand);
-      std::push_heap(kept.begin(), kept.end(), nearer);
-    } else if (nearer(cand, kept.front())) {
-      std::pop_heap(kept.begin(), kept.end(), nearer);
-      kept.back() = cand;
-      std::push_heap(kept.begin(), kept.end(), nearer);
-    }
+  const Key key{req.home_station, std::bit_cast<std::uint64_t>(weight),
+                candidate_limit(topo, params)};
+  auto it = lists_.find(key);
+  if (it == lists_.end()) {
+    // The scan throws on a bad home station before anything is stored.
+    // With no wait and an infinite budget its test keeps every station
+    // whose latency is not NaN.
+    std::vector<CandidateStation> nearest = nearest_stations(
+        topo, key.home, weight, key.limit, 0.0,
+        std::numeric_limits<double>::infinity());
+    it = lists_.emplace(key, std::move(nearest)).first;
   }
-  std::sort_heap(kept.begin(), kept.end(), nearer);
-  return kept;
+  const std::vector<CandidateStation>& list = it->second;
+  const auto feasible_end = std::partition_point(
+      list.begin(), list.end(), [&](const CandidateStation& cand) {
+        return waiting_ms + cand.latency_ms <= req.latency_budget_ms;
+      });
+  return {list.data(), static_cast<std::size_t>(feasible_end - list.begin())};
 }
 
 SlotLpInstance build_slot_lp(const mec::Topology& topo,
@@ -110,15 +169,19 @@ SlotLpInstance build_slot_lp(const mec::Topology& topo,
   }
   inst.request_columns.resize(requests.size());
   inst.request_candidates.resize(requests.size());
+  CandidateMemo local_memo;
+  CandidateMemo& memo =
+      options.candidate_memo != nullptr ? *options.candidate_memo : local_memo;
 
   // Columns y_jil with ER_jil objective. The candidate list carries the
   // placement latency it computed for the feasibility filter, so each
   // (request, station) latency is evaluated exactly once.
   for (std::size_t j = 0; j < requests.size(); ++j) {
     const mec::ARRequest& req = requests[j];
-    inst.request_candidates[j] =
-        candidate_stations(topo, req, params, waiting_of(j));
-    for (const CandidateStation& cand : inst.request_candidates[j]) {
+    const std::span<const CandidateStation> cands =
+        memo.lookup(topo, req, params, waiting_of(j));
+    inst.request_candidates[j].assign(cands.begin(), cands.end());
+    for (const CandidateStation& cand : cands) {
       const int bs = cand.station;
       const double latency = cand.latency_ms;
       const int L = inst.slots_per_station[static_cast<std::size_t>(bs)];

@@ -15,7 +15,10 @@
 // (one binary x_ji per feasible pair, expected-demand capacity rows).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -58,6 +61,8 @@ struct SlotLpInstance {
   std::vector<int> slots_per_station;
 };
 
+class CandidateMemo;
+
 /// Options for `build_slot_lp`.
 struct SlotLpOptions {
   /// Extra per-request share cap of LP-PT constraint (23):
@@ -71,6 +76,10 @@ struct SlotLpOptions {
   /// Residual station capacities in MHz (online problem: capacity already
   /// occupied by resident streams is unavailable). Empty = full capacity.
   std::vector<double> capacity_override_mhz;
+  /// Memo the candidate lists are read through. It must serve the
+  /// topology passed to `build_slot_lp` (see CandidateMemo). Null = a
+  /// memo local to the call.
+  CandidateMemo* candidate_memo = nullptr;
 };
 
 /// Builds the slot-indexed LP over `requests`.
@@ -95,5 +104,55 @@ std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,
                                                  double waiting_ms = 0.0);
+
+/// candidate_stations() lists memoized for one topology. A list depends
+/// on the request only through its home station, its total_proc_weight()
+/// and its budget test, so the memo keeps, per (home station, bits of the
+/// weight, candidate limit), the limit nearest stations in (latency, id)
+/// order at zero wait with no budget filter. A lookup returns the prefix
+/// of that list whose entries pass `waiting_ms + latency <=
+/// latency_budget_ms`, the scan's own test.
+///
+/// Exact: fl(w + x) is monotone in x, so for any finite wait and any
+/// budget the stations that pass form a prefix of the (latency, id) order
+/// of all stations (a NaN latency passes no test and is never kept), and
+/// the first k of that prefix are the cut of the first k of all stations.
+/// The budget is therefore not part of the key: requests with different
+/// budgets, negative waits or DynamicRR's displaced entries (budget 1e9)
+/// share one list.
+///
+/// The memo serves one topology at a time and never looks at it again
+/// for a cached key: its owner calls clear() whenever the delays or
+/// `proc_ms_per_unit` of that topology change. Station availability and
+/// capacity are not read. Not thread-safe.
+class CandidateMemo {
+ public:
+  /// Equals candidate_stations(topo, req, params, waiting_ms): the same
+  /// stations with the same latency bits. The span stays valid until
+  /// clear(). Throws std::out_of_range on a bad home station, and then
+  /// caches nothing.
+  std::span<const CandidateStation> lookup(const mec::Topology& topo,
+                                           const mec::ARRequest& req,
+                                           const AlgorithmParams& params,
+                                           double waiting_ms = 0.0);
+
+  /// Forgets every list.
+  void clear() noexcept { lists_.clear(); }
+
+  /// Number of lists held.
+  std::size_t size() const noexcept { return lists_.size(); }
+
+ private:
+  struct Key {
+    int home = 0;
+    std::uint64_t weight_bits = 0;
+    std::size_t limit = 0;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept;
+  };
+  std::unordered_map<Key, std::vector<CandidateStation>, KeyHash> lists_;
+};
 
 }  // namespace mecar::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace mecar::lp {
@@ -19,20 +18,35 @@ int Model::add_variable(std::string name, double objective, double upper,
 
 int Model::add_constraint(std::string name, Sense sense, double rhs,
                           std::vector<Term> terms) {
-  std::map<int, double> merged;
-  for (const Term& t : terms) {
-    if (t.col < 0 || t.col >= num_variables()) {
+  bool sorted = true;
+  for (std::size_t k = 0; k < terms.size(); ++k) {
+    const int col = terms[k].col;
+    if (col < 0 || col >= num_variables()) {
       throw std::out_of_range("Model: term references unknown column");
     }
-    merged[t.col] += t.coeff;
+    if (k > 0 && col < terms[k - 1].col) sorted = false;
   }
+  // Group the terms by column, keeping the order given within a column
+  // (callers usually pass them ascending already), then sum each group
+  // from 0.0 in that order and drop zero sums.
+  if (!sorted) {
+    std::stable_sort(
+        terms.begin(), terms.end(),
+        [](const Term& a, const Term& b) { return a.col < b.col; });
+  }
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < terms.size();) {
+    const int col = terms[k].col;
+    double sum = 0.0;
+    for (; k < terms.size() && terms[k].col == col; ++k) sum += terms[k].coeff;
+    if (sum != 0.0) terms[kept++] = Term{col, sum};
+  }
+  terms.resize(kept);
   Row row;
   row.name = std::move(name);
   row.sense = sense;
   row.rhs = rhs;
-  for (const auto& [col, coeff] : merged) {
-    if (coeff != 0.0) row.terms.push_back(Term{col, coeff});
-  }
+  row.terms = std::move(terms);
   rows_.push_back(std::move(row));
   return static_cast<int>(rows_.size()) - 1;
 }

@@ -52,8 +52,10 @@ class Model {
   int add_variable(std::string name, double objective,
                    double upper = kInf, bool integral = false);
 
-  /// Adds a constraint row; returns its row index. Terms with duplicate
-  /// columns are merged; zero coefficients are dropped.
+  /// Adds a constraint row; returns its row index. The row's terms
+  /// ascend by column: the coefficients of a repeated column are summed
+  /// from 0.0 in the order given, and zero sums are dropped. Throws
+  /// std::out_of_range when a term names an unknown column.
   int add_constraint(std::string name, Sense sense, double rhs,
                      std::vector<Term> terms);
 

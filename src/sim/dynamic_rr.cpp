@@ -257,6 +257,7 @@ void DynamicRrPolicy::admit_new(const mec::Topology& topo,
   core::SlotLpOptions options;
   options.share_cap_mhz = last_threshold_;
   options.capacity_override_mhz = residual_mhz;
+  options.candidate_memo = view.candidate_memo;
   options.waiting_ms_per_request.reserve(ids.size());
   for (std::size_t b = 0; b < ids.size(); ++b) {
     const int j = ids[b];

@@ -108,8 +108,7 @@ SlotDecision GreedyOnlinePolicy::decide(const SlotView& view) {
     const double reserve = peak(req);
     int best_bs = -1;
     double best_lat = 0.0;
-    for (const auto& cand :
-         core::candidate_stations(topo, req, near, view.waiting_ms(j))) {
+    for (const core::CandidateStation& cand : view.candidates(j, near)) {
       if (!view.is_up(cand.station)) continue;
       if (reserved.remaining_mhz(cand.station) < reserve) continue;
       if (best_bs < 0 || cand.latency_ms < best_lat) {
@@ -158,8 +157,7 @@ SlotDecision OcorpOnlinePolicy::decide(const SlotView& view) {
     const double reserve = peak(req);
     int best_bs = -1;
     double best_resid = 0.0;
-    for (const auto& cand :
-         core::candidate_stations(topo, req, near, view.waiting_ms(j))) {
+    for (const core::CandidateStation& cand : view.candidates(j, near)) {
       if (!view.is_up(cand.station)) continue;
       const double resid = reserved.remaining_mhz(cand.station);
       if (resid < reserve) continue;
@@ -217,8 +215,8 @@ SlotDecision HeuKktOnlinePolicy::decide(const SlotView& view) {
       core::AlgorithmParams neighbourhood = alg_;
       neighbourhood.max_candidate_stations = 6;
       double best_spare = 0.0;
-      for (const auto& cand :
-           core::candidate_stations(topo, req, neighbourhood, wait)) {
+      for (const core::CandidateStation& cand :
+           view.candidates(j, neighbourhood)) {
         if (!view.is_up(cand.station)) continue;
         const double spare = committed.remaining_mhz(cand.station);
         if (spare < commit) continue;

@@ -99,6 +99,20 @@ double SlotView::waiting_ms(int request_index) const {
   return (slot - req.arrival_slot) * slot_ms;
 }
 
+std::span<const core::CandidateStation> SlotView::candidates(
+    int request_index, const core::AlgorithmParams& params) const {
+  if (topo == nullptr) {
+    throw std::logic_error("SlotView::candidates: the view has no topology");
+  }
+  const auto& req = (*requests)[static_cast<std::size_t>(request_index)];
+  const double wait = waiting_ms(request_index);
+  if (candidate_memo != nullptr) {
+    return candidate_memo->lookup(*topo, req, params, wait);
+  }
+  scanned_ = core::candidate_stations(*topo, req, params, wait);
+  return scanned_;
+}
+
 void waterfill_into(double capacity, std::span<const double> demands,
                     std::vector<double>& alloc,
                     std::vector<std::size_t>& open) {
@@ -146,11 +160,11 @@ std::vector<double> waterfill(double capacity,
 }
 
 OnlineSimulator::OnlineSimulator(const mec::Topology& topo,
-                                 std::vector<mec::ARRequest> requests,
+                                 const std::vector<mec::ARRequest>& requests,
                                  std::vector<std::size_t> realized,
                                  OnlineParams params)
     : topo_(topo),
-      requests_(std::move(requests)),
+      requests_(requests),
       realized_(std::move(realized)),
       params_(std::move(params)) {
   if (realized_.size() != requests_.size()) {
@@ -196,6 +210,12 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   // The network every placement decision sees this slot: the base topology
   // when healthy, the overlay's effective topology under faults.
   const mec::Topology* active = &topo_;
+  // Candidate lists of `active`, shared by every slot's decision. Only an
+  // overlay rebuild changes delays, so the slot-start rebuild is the one
+  // place it is cleared (station availability never enters a list, and a
+  // re-homed request looks up its new home's key). A resume primes the
+  // overlay before anything is looked up.
+  core::CandidateMemo candidate_memo;
 
   std::vector<RequestState> states(num_requests);
   OnlineMetrics metrics;
@@ -380,6 +400,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   view.slot_ms = params_.slot_ms;
   view.requests = &requests;
   view.states = &states;
+  view.candidate_memo = &candidate_memo;
 
   for (int t = start_slot; t < horizon; ++t) {
     if (hook != nullptr && hook->want_snapshot(t)) {
@@ -442,6 +463,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
       slot_lp_budget = snap.solver_max_pivots;
       slot_lp_fault = snap.solver_jam;
       const bool rebuilt = overlay->apply(snap.perturbation);
+      if (rebuilt) candidate_memo.clear();
       active = &overlay->effective();
       if (rebuilt || up != prev_up) {
         // New fault epoch: live-station reachability changed, so every

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 
+#include "core/slot_lp.h"
 #include "core/types.h"
 #include "mec/request.h"
 #include "mec/topology.h"
@@ -113,13 +114,27 @@ struct SlotView {
   /// is scripted for this slot.
   int lp_pivot_budget = 0;
   bool lp_fault = false;
+  /// The run's candidate-list memo for `topo` (core/slot_lp.h). The
+  /// simulator owns it and clears it whenever the effective topology is
+  /// rebuilt. Null on a hand-built view.
+  core::CandidateMemo* candidate_memo = nullptr;
   /// Waiting time (ms) a request would have accumulated if first scheduled
   /// this slot.
   double waiting_ms(int request_index) const;
+  /// core::candidate_stations(*topo, request, params, waiting_ms(request))
+  /// read through `candidate_memo`; a view without a memo scans afresh.
+  /// The span stays valid until the next call on this view. Throws
+  /// std::logic_error when `topo` is null.
+  std::span<const core::CandidateStation> candidates(
+      int request_index, const core::AlgorithmParams& params) const;
   bool is_up(int station) const {
     return station_up.empty() ||
            station_up[static_cast<std::size_t>(station)] != 0;
   }
+
+ private:
+  /// The list of the latest candidates() call on a view without a memo.
+  mutable std::vector<core::CandidateStation> scanned_;
 };
 
 /// Scheduling decision for one slot: the set of requests that receive
@@ -211,10 +226,10 @@ struct OnlineMetrics {
 /// The complete canonical state of an online run at the top of one slot —
 /// everything the slot loop accumulates that is not a pure function of
 /// the inputs. Derived structures (minimum latencies, the live request
-/// lists, the arrival cursor, effective-topology caches, preemption
-/// flags) are reconstructed from these fields at restore, so a resumed
-/// run is bit-identical to the uninterrupted one. `sim::Checkpoint`
-/// (sim/checkpoint.h) owns the byte-level framing.
+/// lists, the arrival cursor, effective-topology caches, the candidate
+/// memo, preemption flags) are reconstructed from these fields at
+/// restore, so a resumed run is bit-identical to the uninterrupted one.
+/// `sim::Checkpoint` (sim/checkpoint.h) owns the byte-level framing.
 struct SimSnapshot {
   /// The slot the resumed loop executes first.
   int next_slot = 0;
@@ -255,11 +270,20 @@ class SlotHook {
 };
 
 /// Runs one policy over one workload realization.
+///
+/// The simulator borrows its topology and its workload: both must outlive
+/// it and stay unchanged while it lives. A run that re-homes requests
+/// (mobility or resume) works on its own copy of the workload.
 class OnlineSimulator {
  public:
   OnlineSimulator(const mec::Topology& topo,
-                  std::vector<mec::ARRequest> requests,
+                  const std::vector<mec::ARRequest>& requests,
                   std::vector<std::size_t> realized, OnlineParams params);
+  /// A temporary workload would dangle once the constructor returns.
+  OnlineSimulator(const mec::Topology& topo,
+                  std::vector<mec::ARRequest>&& requests,
+                  std::vector<std::size_t> realized,
+                  OnlineParams params) = delete;
 
   /// Runs the slot loop. Each slot costs time in proportion to the live
   /// requests (waiting, serving or displaced), not to the whole workload.
@@ -276,7 +300,7 @@ class OnlineSimulator {
 
  private:
   const mec::Topology& topo_;
-  std::vector<mec::ARRequest> requests_;
+  const std::vector<mec::ARRequest>& requests_;
   std::vector<std::size_t> realized_;
   OnlineParams params_;
   std::vector<double> min_latency_ms_;  // per request, over all stations

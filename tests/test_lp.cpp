@@ -6,8 +6,13 @@
 // random small binary programs are checked against exhaustive search.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "lp/branch_and_bound.h"
@@ -45,6 +50,87 @@ TEST(Model, RejectsUnknownColumn) {
   m.add_variable("x", 1.0);
   EXPECT_THROW(m.add_constraint("c", Sense::kLe, 1.0, {{5, 1.0}}),
                std::out_of_range);
+  // Anywhere in the row, sorted or not, even with a zero coefficient.
+  m.add_variable("y", 1.0);
+  for (const std::vector<Term>& terms :
+       std::vector<std::vector<Term>>{{{-1, 1.0}},
+                                      {{1, 1.0}, {0, 1.0}, {2, 1.0}},
+                                      {{0, 1.0}, {-5, 0.0}, {1, 1.0}}}) {
+    EXPECT_THROW(m.add_constraint("c", Sense::kLe, 1.0, terms),
+                 std::out_of_range);
+  }
+  EXPECT_EQ(m.num_constraints(), 0);
+}
+
+/// The merge add_constraint is specified by: a std::map sums each column's
+/// coefficients from 0.0 in the order given, columns ascend, and zero sums
+/// are dropped.
+std::vector<Term> map_merged(const std::vector<Term>& terms) {
+  std::map<int, double> merged;
+  for (const Term& t : terms) merged[t.col] += t.coeff;
+  std::vector<Term> out;
+  for (const auto& [col, coeff] : merged) {
+    if (coeff != 0.0) out.push_back(Term{col, coeff});
+  }
+  return out;
+}
+
+void expect_merged_like_map(const std::vector<Term>& terms,
+                            const std::string& where) {
+  Model m;
+  for (int c = 0; c < 8; ++c) m.add_variable("x" + std::to_string(c), 1.0);
+  m.add_constraint("c", Sense::kLe, 1.0, terms);
+  const std::vector<Term> want = map_merged(terms);
+  const std::vector<Term>& got = m.row(0).terms;
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].col, want[k].col) << where << " term " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].coeff),
+              std::bit_cast<std::uint64_t>(want[k].coeff))
+        << where << " term " << k;
+  }
+}
+
+TEST(Model, AddConstraintMergesBitForBitLikeAMap) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Hand-picked rows: duplicates whose order changes the rounded sum,
+  // exact cancellation, zero and negative zero, NaN, infinities, unsorted
+  // and descending input.
+  const std::vector<std::vector<Term>> rows{
+      {},
+      {{3, 1.0}},
+      {{3, 0.0}},
+      {{3, -0.0}},
+      {{3, -0.0}, {3, -0.0}},
+      {{2, 1.0}, {2, -1.0}},
+      {{5, 1e16}, {5, 1.0}, {5, -1e16}},
+      {{5, -1e16}, {5, 1e16}, {5, 1.0}},
+      {{1, 0.1}, {1, 0.2}, {1, 0.3}},
+      {{1, 0.3}, {1, 0.2}, {1, 0.1}},
+      {{4, nan}},
+      {{4, 2.0}, {4, nan}, {0, 1.0}},
+      {{6, inf}, {6, -inf}},
+      {{7, 1.0}, {6, 2.0}, {5, 3.0}, {4, 4.0}, {3, 5.0}, {2, 6.0}},
+      {{7, 1.0}, {0, 2.0}, {7, 3.0}, {0, -2.0}, {3, 0.5}, {7, 0.25}},
+  };
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    expect_merged_like_map(rows[r], "row " + std::to_string(r));
+  }
+  // Random rows over 8 columns with many repeats and awkward values.
+  const std::vector<double> values{1.0,   -1.0, 0.5,  0.0,    -0.0, 1e-300,
+                                   3.25,  -2.5, 1e16, -1e16,  0.1,  nan,
+                                   1e300, 7.0,  -7.0, 0.3333333333333333};
+  util::Rng rng(31);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Term> terms(static_cast<std::size_t>(rng.uniform_int(0, 24)));
+    for (Term& t : terms) {
+      t.col = static_cast<int>(rng.uniform_int(0, 7));
+      t.coeff = values[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1))];
+    }
+    expect_merged_like_map(terms, "trial " + std::to_string(trial));
+  }
 }
 
 TEST(Model, ObjectiveValueAndViolation) {

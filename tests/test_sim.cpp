@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -373,6 +374,45 @@ TEST(OnlineSimulator, ValidatesInput) {
   params.horizon_slots = 0;
   EXPECT_THROW(OnlineSimulator(topo, requests, {0}, params),
                std::invalid_argument);
+}
+
+// The simulator borrows its workload, so a temporary one must not bind.
+static_assert(std::is_constructible_v<
+              OnlineSimulator, const mec::Topology&,
+              const std::vector<mec::ARRequest>&, std::vector<std::size_t>,
+              OnlineParams>);
+static_assert(!std::is_constructible_v<
+              OnlineSimulator, const mec::Topology&,
+              std::vector<mec::ARRequest>&&, std::vector<std::size_t>,
+              OnlineParams>);
+
+TEST(OnlineSimulator, ReadsTheCallersWorkloadUnlessItRehomes) {
+  const mec::Topology topo = one_station();
+  const std::vector<mec::ARRequest> requests{stream(0, 50.0, 0, 2),
+                                             stream(1, 50.0, 1, 2)};
+  class Recorder final : public OnlinePolicy {
+   public:
+    SlotDecision decide(const SlotView& view) override {
+      seen = view.requests;
+      return {};
+    }
+    std::string name() const override { return "Recorder"; }
+    const std::vector<mec::ARRequest>* seen = nullptr;
+  };
+  OnlineParams params;
+  params.horizon_slots = 3;
+  {
+    OnlineSimulator sim(topo, requests, {0, 0}, params);
+    Recorder policy;
+    (void)sim.run(policy);
+    EXPECT_EQ(policy.seen, &requests);
+  }
+  // A run with mobility works on its own copy of the workload.
+  params.mobility.push_back({1, 1, 0});
+  OnlineSimulator sim(topo, requests, {0, 0}, params);
+  Recorder policy;
+  (void)sim.run(policy);
+  EXPECT_NE(policy.seen, &requests);
 }
 
 TEST(OnlineSimulator, BadActivationIndexThrows) {
