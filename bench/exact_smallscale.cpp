@@ -8,10 +8,10 @@
 //   ./bench/exact_smallscale [--seeds=5]
 #include <iostream>
 
-#include "bench/bench_util.h"
 #include "core/appro.h"
 #include "core/exact.h"
 #include "core/heu.h"
+#include "exp/instance.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -28,11 +28,11 @@ int main(int argc, char** argv) {
                      "B&B nodes", "B&B ms"});
   for (int num_requests : sizes) {
     util::RunningStats exact_s, appro_s, heu_s, bare_s, nodes_s, ms_s;
-    for (unsigned seed : benchx::bench_seeds(seeds)) {
-      benchx::InstanceConfig config;
+    for (unsigned seed : exp::bench_seeds(seeds)) {
+      exp::InstanceConfig config;
       config.num_requests = num_requests;
       config.num_stations = 4;
-      const auto inst = benchx::make_instance(seed, config);
+      const auto inst = exp::make_instance(seed, config);
 
       core::ExactOptions exact_options;
       util::Timer timer;

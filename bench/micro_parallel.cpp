@@ -1,32 +1,26 @@
 // Micro-benchmarks and self-checks for the parallel execution substrate
 // (util::ThreadPool) and the warm-started slot LPs.
 //
-// Three entry modes:
+// Two entry modes:
 //   ./bench/micro_parallel                google-benchmark timings
 //   ./bench/micro_parallel --smoke        fast correctness checks (ctest):
 //                                         parallel == serial bit-identical,
 //                                         exception propagation, warm ==
 //                                         cold LP objective; exit 0 on pass
-//   ./bench/micro_parallel --snapshot[=path]
-//                                         writes the BENCH_parallel.json
-//                                         serial-vs-parallel timing snapshot
-//                                         (fig4-mini sweep + LP warm/cold)
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstring>
 #include <iostream>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "core/slot_lp.h"
+#include "exp/instance.h"
 #include "lp/revised_simplex.h"
 #include "sim/dynamic_rr.h"
 #include "sim/online_sim.h"
 #include "util/parallel.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -39,10 +33,10 @@ using namespace mecar;
 /// a small instance. Heavy enough (hundreds of slot LPs) to dominate any
 /// pool overhead, small enough for a smoke test.
 double fig4_mini_trial(unsigned seed, int num_requests, int horizon) {
-  benchx::InstanceConfig config;
+  exp::InstanceConfig config;
   config.num_requests = num_requests;
   config.horizon_slots = horizon;
-  const auto inst = benchx::make_instance(seed, config);
+  const auto inst = exp::make_instance(seed, config);
   sim::OnlineParams params;
   params.horizon_slots = horizon;
   sim::DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{},
@@ -96,7 +90,7 @@ BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(64)->Arg(4096);
 
 void BM_Fig4MiniSerial(benchmark::State& state) {
   util::ThreadPool pool(1);
-  const auto seeds = benchx::bench_seeds(4);
+  const auto seeds = exp::bench_seeds(4);
   for (auto _ : state) {
     auto rewards = pool.parallel_map(
         seeds.size(), [&](std::size_t i) {
@@ -109,7 +103,7 @@ BENCHMARK(BM_Fig4MiniSerial)->Unit(benchmark::kMillisecond);
 
 void BM_Fig4MiniParallel(benchmark::State& state) {
   util::ThreadPool pool(0);  // MECAR_THREADS / hardware_concurrency
-  const auto seeds = benchx::bench_seeds(4);
+  const auto seeds = exp::bench_seeds(4);
   for (auto _ : state) {
     auto rewards = pool.parallel_map(
         seeds.size(), [&](std::size_t i) {
@@ -134,7 +128,7 @@ int run_smoke() {
   // Determinism: the pooled sweep must equal the serial sweep element by
   // element, exactly (same doubles, not just close).
   {
-    const auto seeds = benchx::bench_seeds(4);
+    const auto seeds = exp::bench_seeds(4);
     auto trial = [&](std::size_t i) {
       return fig4_mini_trial(seeds[i], 40, 60);
     };
@@ -187,98 +181,11 @@ int run_smoke() {
   return failures == 0 ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// --snapshot: the BENCH_parallel.json timing snapshot.
-
-int run_snapshot(const std::string& path) {
-  std::vector<benchx::ParallelTiming> rows;
-
-  // fig4-mini sweep, serial vs pooled.
-  {
-    util::ThreadPool serial(1);
-    util::ThreadPool pooled(0);
-    const auto seeds = benchx::bench_seeds(6);
-    auto trial = [&](std::size_t i) {
-      return fig4_mini_trial(seeds[i], 60, 120);
-    };
-    // Warm-up (page in code and data once for both paths).
-    serial.parallel_map(seeds.size(), trial);
-
-    benchx::ParallelTiming row;
-    row.name = "fig4_mini_sweep";
-    row.threads = pooled.num_threads();
-    {
-      util::Timer t;
-      auto r = serial.parallel_map(seeds.size(), trial);
-      row.serial_ms = t.elapsed_ms();
-      benchmark::DoNotOptimize(r.data());
-    }
-    {
-      util::Timer t;
-      auto r = pooled.parallel_map(seeds.size(), trial);
-      row.parallel_ms = t.elapsed_ms();
-      benchmark::DoNotOptimize(r.data());
-    }
-    rows.push_back(std::move(row));
-  }
-
-  // Slot-LP sequence, cold vs warm (sequential either way: "serial" is the
-  // cold path, "parallel" slot is reused for the warm path; pivot counts
-  // ride along as extra fields).
-  {
-    const auto models = slot_sequence_models(100, 8);
-    lp::RevisedSimplexSolver solver;
-
-    benchx::ParallelTiming row;
-    row.name = "slot_lp_sequence_warm_vs_cold";
-    row.threads = 1;
-    long cold_pivots = 0;
-    long warm_pivots = 0;
-    {
-      util::Timer t;
-      for (const auto& model : models) {
-        auto res = solver.solve(model);
-        cold_pivots += res.iterations;
-        benchmark::DoNotOptimize(res.objective);
-      }
-      row.serial_ms = t.elapsed_ms();
-    }
-    {
-      lp::WarmStartBasis warm;
-      util::Timer t;
-      for (const auto& model : models) {
-        auto res = solver.solve(model, warm);
-        warm_pivots += res.iterations;
-        benchmark::DoNotOptimize(res.objective);
-      }
-      row.parallel_ms = t.elapsed_ms();
-    }
-    const double slots = static_cast<double>(models.size());
-    row.extra.emplace_back("cold_pivots_per_slot",
-                           static_cast<double>(cold_pivots) / slots);
-    row.extra.emplace_back("warm_pivots_per_slot",
-                           static_cast<double>(warm_pivots) / slots);
-    rows.push_back(std::move(row));
-  }
-
-  if (!benchx::write_parallel_snapshot(path, rows)) {
-    std::cerr << "error: could not write " << path << '\n';
-    return 1;
-  }
-  std::cout << "wrote " << path << '\n';
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke();
-    if (std::strncmp(argv[i], "--snapshot", 10) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return run_snapshot(eq != nullptr ? std::string(eq + 1)
-                                        : std::string("BENCH_parallel.json"));
-    }
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -27,7 +27,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "exp/instance.h"
 #include "obs/catalog.h"
 #include "obs/event_trace.h"
 #include "obs/telemetry.h"
@@ -43,10 +43,10 @@ using namespace mecar;
 /// One fig4-style online trial (same construction as micro_parallel):
 /// heavy enough that the per-event telemetry cost is realistic in context.
 double fig4_mini_trial(unsigned seed, int num_requests, int horizon) {
-  benchx::InstanceConfig config;
+  exp::InstanceConfig config;
   config.num_requests = num_requests;
   config.horizon_slots = horizon;
-  const auto inst = benchx::make_instance(seed, config);
+  const auto inst = exp::make_instance(seed, config);
   sim::OnlineParams params;
   params.horizon_slots = horizon;
   sim::DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{},
@@ -181,7 +181,7 @@ int run_smoke() {
 // --overhead: ms/trial for the ON-vs-OFF comparison (DESIGN.md §10).
 
 int run_overhead() {
-  const auto seeds = benchx::bench_seeds(6);
+  const auto seeds = exp::bench_seeds(6);
   constexpr int kRepeats = 3;
   // Warm-up pass pages in code and data.
   for (unsigned seed : seeds) (void)fig4_mini_trial(seed, 60, 120);
@@ -240,7 +240,7 @@ int run_snapshot(const std::string& path) {
 
   // End-to-end cost and one instrumented trial's catalog values (the same
   // series `mecar_cli experiment --metrics-out` exports).
-  const auto seeds = benchx::bench_seeds(6);
+  const auto seeds = exp::bench_seeds(6);
   for (unsigned seed : seeds) (void)fig4_mini_trial(seed, 60, 120);
   double best_sweep_ms = 1e300;
   for (int r = 0; r < 3; ++r) {

@@ -1,11 +1,8 @@
 // Simulation-instance construction shared by the scenario runner and the
 // micro benches: network + workload + pre-drawn demand realizations
 // (common random numbers across all algorithms under comparison), plus the
-// canonical seed schedule and the parallel seed sweep.
-//
-// Moved here from bench/bench_util.h so the scenario engine — a library,
-// not a bench — can build instances; the bench header re-exports these
-// names for the remaining micro drivers.
+// canonical seed schedule and the parallel seed sweep. It lives in the
+// library so the scenario engine and the benches build the same instances.
 #pragma once
 
 #include <limits>

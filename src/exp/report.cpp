@@ -1,5 +1,6 @@
 #include "exp/report.h"
 
+#include <algorithm>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -9,6 +10,22 @@
 #include "util/table.h"
 
 namespace mecar::exp {
+
+namespace {
+
+/// Whether `map`'s keys are exactly the entries of `names`.
+template <typename Map>
+bool keyed_by(const Map& map, const std::vector<std::string>& names) {
+  return std::all_of(map.begin(), map.end(),
+                     [&](const auto& entry) {
+                       return std::find(names.begin(), names.end(),
+                                        entry.first) != names.end();
+                     }) &&
+         std::all_of(names.begin(), names.end(),
+                     [&](const std::string& n) { return map.count(n) != 0; });
+}
+
+}  // namespace
 
 SeriesCollector::SeriesCollector(std::vector<std::string> names) {
   for (auto& name : names) series_[std::move(name)];
@@ -69,6 +86,14 @@ void SeriesCollector::load(util::SnapshotReader& r) {
       return s;
     });
   }
+}
+
+bool SeriesCollector::shaped(const std::vector<std::string>& names,
+                             std::size_t points) const {
+  return num_points_ == points && keyed_by(series_, names) &&
+         std::all_of(series_.begin(), series_.end(), [&](const auto& entry) {
+           return entry.second.size() == points;
+         });
 }
 
 Report::Report(std::string scenario_name, std::string axis_label,
@@ -173,6 +198,18 @@ void Report::load(util::SnapshotReader& r) {
   }
   points_ = r.vec<double>([&] { return r.f64(); });
   point_labels_ = r.vec<std::string>([&] { return r.str(); });
+  // add() and the table writers index every series by point.
+  const bool shaped =
+      point_labels_.size() == points_.size() &&
+      keyed_by(by_metric_, metrics_) &&
+      std::all_of(by_metric_.begin(), by_metric_.end(), [&](const auto& entry) {
+        return entry.second.shaped(policies_, points_.size());
+      });
+  if (!shaped) {
+    throw util::SnapshotParseError(
+        r.offset(), "Report: series do not match the metrics, policies "
+                    "and points");
+  }
 }
 
 void Report::write_json(std::ostream& os) const {

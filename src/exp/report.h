@@ -42,6 +42,11 @@ class SeriesCollector {
   void save(util::SnapshotWriter& w) const;
   void load(util::SnapshotReader& r);
 
+  /// True when the collector holds exactly the series `names`, each with
+  /// one accumulator per point of `points`.
+  bool shaped(const std::vector<std::string>& names,
+              std::size_t points) const;
+
  private:
   std::map<std::string, std::vector<util::RunningStats>> series_;
   std::size_t num_points_ = 0;
@@ -102,7 +107,8 @@ class Report {
 
   /// Checkpoint support: the full report state (labels, points, every
   /// accumulator) round-trips so a resumed run's tables are bit-identical
-  /// to an uninterrupted run's.
+  /// to an uninterrupted run's. load() throws util::SnapshotParseError
+  /// when the series do not match the metrics, policies and points.
   void save(util::SnapshotWriter& w) const;
   void load(util::SnapshotReader& r);
 

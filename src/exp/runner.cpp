@@ -1,10 +1,12 @@
 #include "exp/runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -26,6 +28,21 @@ namespace {
 
 using MetricMap = std::map<std::string, double>;
 
+/// `value` as an int. Throws std::invalid_argument naming the sweep point
+/// when it is not finite, not integral or outside int.
+int integer_at(double point, const char* what, double value,
+               const std::string& context) {
+  if (!(std::trunc(value) == value &&
+        value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max())) {
+    char detail[128];
+    std::snprintf(detail, sizeof detail, "point %g: %s %g is not an int",
+                  point, what, value);
+    throw std::invalid_argument(context + detail);
+  }
+  return static_cast<int>(value);
+}
+
 /// Everything one sweep point fixes for its trials.
 struct PointSetup {
   InstanceConfig offline_config;  // horizon 0
@@ -35,12 +52,14 @@ struct PointSetup {
   double chaos_intensity = 0.0;
 };
 
-/// Everything one sweep point fixes for its trials, derived identically by
-/// the pooled and the checkpointed execution paths.
 PointSetup make_point_setup(const ScenarioSpec& spec, double point,
-                            int base_horizon, int lp_budget_override) {
+                            int base_horizon, int lp_budget_override,
+                            const std::string& context) {
+  const auto integer = [&](const char* what, double value) {
+    return integer_at(point, what, value, context);
+  };
   PointSetup setup;
-  setup.horizon = spec.axis == SweepAxis::kHorizon ? static_cast<int>(point)
+  setup.horizon = spec.axis == SweepAxis::kHorizon ? integer("horizon", point)
                                                    : base_horizon;
   setup.offline_config = spec.base;
   setup.offline_config.horizon_slots = 0;
@@ -51,22 +70,23 @@ PointSetup make_point_setup(const ScenarioSpec& spec, double point,
                               : spec.chaos_intensity;
   switch (spec.axis) {
     case SweepAxis::kRequests:
-      setup.offline_config.num_requests = static_cast<int>(point);
+      setup.offline_config.num_requests = integer("requests", point);
       break;
     case SweepAxis::kStations:
-      setup.offline_config.num_stations = static_cast<int>(point);
+      setup.offline_config.num_stations = integer("stations", point);
       break;
     case SweepAxis::kRateMax:
       setup.offline_config.rate_max = point;
       break;
     case SweepAxis::kHorizon:
+      // |R| = T x requests_per_slot, truncated: a rate, not a count.
       if (spec.requests_per_slot > 0.0) {
         setup.offline_config.num_requests =
-            static_cast<int>(point * spec.requests_per_slot);
+            integer("requests", std::trunc(point * spec.requests_per_slot));
       }
       break;
     case SweepAxis::kKappa:
-      setup.rr.kappa = static_cast<int>(point);
+      setup.rr.kappa = integer("kappa", point);
       break;
     case SweepAxis::kNone:
     case SweepAxis::kChaosIntensity:
@@ -86,7 +106,44 @@ PointSetup make_point_setup(const ScenarioSpec& spec, double point,
   return setup;
 }
 
-/// One offline policy's metric map (both execution paths).
+/// Everything one regret point fixes for its tasks. Only the horizon axis
+/// changes the instance; the kappa axis changes the learned run's grid.
+struct RegretPoint {
+  InstanceConfig config;
+  int horizon = 0;
+  sim::DynamicRrParams rr;   // the learned run's knobs
+  std::vector<double> arms;  // the fixed-arm runs' thresholds
+};
+
+RegretPoint make_regret_point(const ScenarioSpec& spec, double point,
+                              int base_horizon, int lp_budget_override,
+                              const std::string& context) {
+  const auto integer = [&](const char* what, double value) {
+    return integer_at(point, what, value, context);
+  };
+  RegretPoint rp;
+  rp.horizon = spec.axis == SweepAxis::kHorizon ? integer("horizon", point)
+                                                : base_horizon;
+  if (rp.horizon <= 0) {
+    throw std::invalid_argument(context +
+                                "regret scenarios need a horizon > 0");
+  }
+  rp.config = spec.base;
+  rp.config.horizon_slots = rp.horizon;
+  if (spec.axis == SweepAxis::kHorizon && spec.requests_per_slot > 0.0) {
+    rp.config.num_requests =
+        integer("requests", std::trunc(point * spec.requests_per_slot));
+  }
+  rp.rr = spec.rr;
+  if (lp_budget_override > 0) rp.rr.lp_pivot_budget = lp_budget_override;
+  if (spec.axis == SweepAxis::kKappa) rp.rr.kappa = integer("kappa", point);
+  rp.arms = bandit::LipschitzGrid(spec.rr.threshold_min_mhz,
+                                  spec.rr.threshold_max_mhz, rp.rr.kappa)
+                .values();
+  return rp;
+}
+
+/// One offline policy's metric map.
 MetricMap offline_trial_metrics(const PolicyRegistry& registry,
                                 const ScenarioSpec& spec,
                                 const std::string& policy_name,
@@ -113,7 +170,7 @@ MetricMap offline_trial_metrics(const PolicyRegistry& registry,
 }
 
 /// One online policy's metric map from its faulted metrics and fault-free
-/// reference (both execution paths).
+/// reference.
 MetricMap online_trial_metrics(const ScenarioSpec& spec,
                                const sim::OnlineMetrics& metrics,
                                const sim::OnlineMetrics& ref) {
@@ -158,60 +215,14 @@ MetricMap online_trial_metrics(const ScenarioSpec& spec,
 // [fingerprint][Report][cursor][obs MetricsSnapshot], framed with
 // kCkptMagic/kCkptVersion (DESIGN.md §14). The fingerprint pins the run
 // configuration; resuming under a different one is a user error
-// (std::invalid_argument), unlike a corrupt generation, which falls back
-// down the ladder. The cursor layout depends on the scenario kind (which
-// the fingerprint fixes): sweeps store (point, seed, policy, stage) plus
-// an optional reference OnlineMetrics and an optional mid-sim
-// SimSnapshot; regret runs store (point, task, stage), the completed
-// tasks' rewards, and an optional mid-sim SimSnapshot.
+// (std::invalid_argument), unlike a corrupt generation or one that does
+// not fit the run, which falls back down the ladder. Both scenario kinds
+// share one cursor layout: (point, unit, policy, stage), the cursor
+// point's completed regret task rewards, an optional reference
+// OnlineMetrics and an optional mid-sim SimSnapshot.
 
 constexpr std::uint32_t kCkptMagic = 0x4b43524dU;  // "MRCK"
-constexpr std::uint32_t kCkptVersion = 3;
-
-struct CkptFingerprint {
-  std::string name;
-  std::uint8_t kind = 0;
-  std::int32_t num_seeds = 0;
-  std::int32_t base_horizon = 0;
-  std::int32_t lp_budget = 0;
-  std::vector<double> points;
-  std::vector<std::string> metrics;
-  std::vector<std::string> policies;
-};
-
-void save_fingerprint(const CkptFingerprint& fp, util::SnapshotWriter& w) {
-  w.str(fp.name);
-  w.u8(fp.kind);
-  w.i32(fp.num_seeds);
-  w.i32(fp.base_horizon);
-  w.i32(fp.lp_budget);
-  w.vec(fp.points, [&](double v) { w.f64(v); });
-  w.vec(fp.metrics, [&](const std::string& s) { w.str(s); });
-  w.vec(fp.policies, [&](const std::string& s) { w.str(s); });
-}
-
-/// Throws std::invalid_argument when the checkpoint's fingerprint differs
-/// from the current run configuration in `field` terms a user can act on.
-void check_fingerprint(const CkptFingerprint& fp, util::SnapshotReader& r,
-                       const std::string& context) {
-  const auto mismatch = [&](const char* field) {
-    throw std::invalid_argument(
-        context + "checkpoint was written by a different run configuration (" +
-        field + " differs); pass a fresh --checkpoint-dir or matching flags");
-  };
-  if (r.str() != fp.name) mismatch("scenario name");
-  if (r.u8() != fp.kind) mismatch("scenario kind");
-  if (r.i32() != fp.num_seeds) mismatch("seeds");
-  if (r.i32() != fp.base_horizon) mismatch("horizon");
-  if (r.i32() != fp.lp_budget) mismatch("lp budget");
-  if (r.vec<double>([&] { return r.f64(); }) != fp.points) mismatch("points");
-  if (r.vec<std::string>([&] { return r.str(); }) != fp.metrics) {
-    mismatch("metrics");
-  }
-  if (r.vec<std::string>([&] { return r.str(); }) != fp.policies) {
-    mismatch("policies");
-  }
-}
+constexpr std::uint32_t kCkptVersion = 4;
 
 /// Engine hook that checkpoints the in-flight simulation every
 /// `every` slots (slot 0 is the initial state; nothing to save yet).
@@ -227,76 +238,38 @@ struct MidSimHook final : sim::SlotHook {
   }
 };
 
-/// Where a checkpointed run left off. stage 0 = before the cursor unit's
-/// first simulation, 1 = inside the fault-free reference run, 2 = inside
-/// the faulted run (the reference result rides in `ref`).
-struct ResumeCursor {
+/// A position in a run. A sweep unit is one seed and runs every policy;
+/// a regret unit is one task (seed-major: a seed's fixed arms in grid
+/// order, then its learned run) and keeps policy 0. stage 0 = at the
+/// boundary before (unit, policy), 1 = inside the fault-free reference
+/// run (regret: the task's run), 2 = inside the faulted run.
+struct Cursor {
   std::size_t point = 0;
-  std::size_t seed = 0;    // sweep: seed index
-  std::size_t policy = 0;  // sweep: policy index
-  std::size_t task = 0;    // regret: task index within the point
+  std::size_t unit = 0;
+  std::size_t policy = 0;
   std::uint8_t stage = 0;
-  std::optional<sim::OnlineMetrics> ref;
-  std::optional<sim::SimSnapshot> snap;
-  std::vector<double> rewards;  // regret: completed tasks of the point
+  bool operator==(const Cursor&) const = default;
 };
 
-/// Walks the generation ladder newest-first and loads the first readable
-/// checkpoint into (report, cur), restoring the obs registry as a side
-/// effect. A generation failing CRC/parse validation logs a structured
-/// diagnostic and falls back to the previous one; an empty or fully
-/// corrupt ladder returns false (start fresh). A fingerprint mismatch is
-/// a user error and propagates as std::invalid_argument instead.
-bool load_latest_checkpoint(const sim::CheckpointStore& store,
-                            const CkptFingerprint& fp,
-                            const std::string& context, Report& report,
-                            ResumeCursor& cur) {
-  for (const std::string& path : store.generations()) {
-    try {
-      const std::vector<std::uint8_t> bytes =
-          sim::CheckpointStore::read_file(path);
-      util::SnapshotReader r(bytes, kCkptMagic, kCkptVersion);
-      check_fingerprint(fp, r, context);
-      Report loaded;
-      loaded.load(r);
-      ResumeCursor c;
-      if (fp.kind == 0) {  // sweep cursor
-        c.point = static_cast<std::size_t>(r.u64());
-        c.seed = static_cast<std::size_t>(r.u64());
-        c.policy = static_cast<std::size_t>(r.u64());
-        c.stage = r.u8();
-        if (r.boolean()) c.ref = sim::load_online_metrics(r);
-        if (r.boolean()) c.snap = sim::load_sim_snapshot(r);
-      } else {  // regret cursor
-        c.point = static_cast<std::size_t>(r.u64());
-        c.task = static_cast<std::size_t>(r.u64());
-        c.stage = r.u8();
-        c.rewards = r.vec<double>([&] { return r.f64(); });
-        if (r.boolean()) c.snap = sim::load_sim_snapshot(r);
-      }
-      const obs::MetricsSnapshot ms = obs::load_metrics_snapshot(r);
-      r.expect_end();
-      report = std::move(loaded);
-      cur = std::move(c);
-      obs::registry().restore(ms);
-      std::fprintf(stderr, "mecar: resuming from %s\n", path.c_str());
-      return true;
-    } catch (const util::SnapshotParseError& e) {
-      std::fprintf(stderr,
-                   "mecar: checkpoint %s rejected at byte %zu (%s); "
-                   "falling back to the previous generation\n",
-                   path.c_str(), e.offset(), e.what());
-    } catch (const std::runtime_error& e) {
-      std::fprintf(stderr,
-                   "mecar: checkpoint %s unreadable (%s); "
-                   "falling back to the previous generation\n",
-                   path.c_str(), e.what());
-    }
-  }
-  std::fprintf(stderr, "mecar: no usable checkpoint in %s; starting fresh\n",
-               store.dir().c_str());
-  return false;
+/// The boundary after `at` in a point of `units` units of `policies`
+/// policies each.
+Cursor next_boundary(Cursor at, std::size_t units, std::size_t policies) {
+  at.stage = 0;
+  if (++at.policy < policies) return at;
+  at.policy = 0;
+  if (++at.unit < units) return at;
+  at.unit = 0;
+  ++at.point;
+  return at;
 }
+
+/// A loaded generation's cursor and in-flight state.
+struct Resume {
+  Cursor at;
+  std::vector<double> rewards;            // regret: tasks before at.unit
+  std::optional<sim::OnlineMetrics> ref;  // stage 2: the finished reference
+  std::optional<sim::SimSnapshot> snap;   // stage 1 or 2: the leg in flight
+};
 
 const std::set<std::string>& known_metrics() {
   static const std::set<std::string> metrics{
@@ -317,6 +290,492 @@ const std::set<std::string>& known_metrics() {
 
 }  // namespace
 
+// ---- One execution path ----------------------------------------------
+//
+// Every point is derived and checked before any trial runs; then one loop
+// walks the points and their units. Without a checkpoint directory a
+// point's units run on the pool and are recorded in unit order after it;
+// with one they run one at a time, each recorded as it finishes and
+// followed by a generation (DESIGN.md §14). Both ways add the same values
+// to the report in the same order, so their reports are bit-identical.
+
+class Runner::Execution {
+ public:
+  explicit Execution(const Runner& runner);
+  Report run();
+
+ private:
+  /// Called concurrently in pooled runs, where they only read members.
+  void sweep_seed(std::size_t p, std::size_t s,
+                  const std::function<void(std::size_t, MetricMap)>& done);
+  double regret_task(std::size_t p, std::size_t task);
+  sim::OnlineMetrics simulate(sim::OnlineSimulator& simulator,
+                              sim::OnlinePolicy& policy, const Cursor& at,
+                              const sim::OnlineMetrics* ref);
+  bool resumes(std::size_t p, std::size_t unit) const {
+    return resume_ && resume_->at.point == p && resume_->at.unit == unit;
+  }
+  void count_trial(std::size_t p, std::size_t unit) const;
+
+  void record(std::size_t p, std::size_t s, std::size_t i, const MetricMap& m);
+  void reduce_regret(std::size_t p);
+
+  bool regret() const { return spec_.kind == ScenarioKind::kRegret; }
+  std::size_t units(std::size_t p) const {
+    return regret() ? seeds_.size() * (regret_points_[p].arms.size() + 1)
+                    : seeds_.size();
+  }
+  void boundary(const Cursor& next);
+  void save(const Cursor& at, const sim::OnlineMetrics* ref,
+            const sim::SimSnapshot* snap);
+  void load();
+  void check_fingerprint(util::SnapshotReader& r) const;
+  const char* misfit(const Report& report, const Resume& c) const;
+
+  const Runner& runner_;
+  const ScenarioSpec& spec_;
+  const std::string context_;
+  int base_horizon_ = 0;
+  std::vector<unsigned> seeds_;
+  std::vector<double> points_;
+  std::vector<PointSetup> setups_;  // sweep
+  std::vector<ResolvedPolicy> resolved_;
+  bool any_offline_ = false;
+  bool any_online_ = false;
+  sim::FaultPlan file_plan_;
+  std::vector<RegretPoint> regret_points_;  // regret
+  std::vector<double> rewards_;  // regret: the current point's tasks
+  Report report_;
+
+  std::optional<sim::CheckpointStore> store_;  // set when checkpointing
+  std::optional<Resume> resume_;
+  int done_units_ = 0;
+};
+
+Runner::Execution::Execution(const Runner& runner)
+    : runner_(runner),
+      spec_(runner.spec_),
+      context_("scenario '" + spec_.name + "': ") {
+  const int num_seeds =
+      runner.seeds_override_ > 0 ? runner.seeds_override_ : spec_.seeds;
+  if (num_seeds < 1) {
+    throw std::invalid_argument(context_ + "seeds must be >= 1");
+  }
+  base_horizon_ =
+      runner.horizon_override_ >= 0 ? runner.horizon_override_ : spec_.horizon;
+  const int lp_budget = runner.lp_budget_override_;
+
+  points_ = spec_.points;
+  if (spec_.axis == SweepAxis::kNone) {
+    if (points_.size() > 1) {
+      throw std::invalid_argument(context_ +
+                                  "axis 'none' admits at most one point");
+    }
+    if (points_.empty()) points_.push_back(0.0);
+  } else if (points_.empty()) {
+    throw std::invalid_argument(context_ + "sweep axis set but no points");
+  }
+  seeds_ = bench_seeds(num_seeds);
+
+  std::vector<std::string> labels;
+  if (regret()) {
+    labels = {"best fixed", "DynamicRR"};
+  } else {
+    if (spec_.policies.empty()) {
+      throw std::invalid_argument(context_ + "no policies to compare");
+    }
+    if (spec_.metrics.empty()) {
+      throw std::invalid_argument(context_ + "no metrics to collect");
+    }
+    for (const std::string& metric : spec_.metrics) {
+      if (known_metrics().count(metric) == 0) {
+        std::string known;
+        for (const std::string& name : known_metrics()) {
+          known += (known.empty() ? "" : ", ") + name;
+        }
+        throw std::invalid_argument(context_ + "unknown metric '" + metric +
+                                    "' (known: " + known + ")");
+      }
+    }
+    for (const PolicyRef& ref : spec_.policies) {
+      resolved_.push_back(
+          resolve_policy(*runner.registry_, ref.name, base_horizon_));
+      (resolved_.back().online ? any_online_ : any_offline_) = true;
+      const std::string label =
+          ref.label.empty() ? resolved_.back().name : ref.label;
+      if (std::find(labels.begin(), labels.end(), label) != labels.end()) {
+        throw std::invalid_argument(context_ + "duplicate policy label '" +
+                                    label + "'");
+      }
+      labels.push_back(label);
+    }
+    if (any_online_ && base_horizon_ <= 0 &&
+        spec_.axis != SweepAxis::kHorizon) {
+      throw std::invalid_argument(context_ +
+                                  "online policies need a horizon > 0");
+    }
+    if (!spec_.fault_plan_path.empty()) {
+      std::ifstream file(spec_.fault_plan_path);
+      if (!file) {
+        throw std::invalid_argument(context_ + "cannot open fault plan '" +
+                                    spec_.fault_plan_path + "'");
+      }
+      file_plan_ = sim::read_fault_plan(file);
+    }
+  }
+  for (const double point : points_) {
+    if (!std::isfinite(point)) {
+      throw std::invalid_argument(context_ + "point " +
+                                  std::to_string(point) + " is not finite");
+    }
+    if (regret()) {
+      regret_points_.push_back(make_regret_point(spec_, point, base_horizon_,
+                                                 lp_budget, context_));
+    } else {
+      setups_.push_back(make_point_setup(spec_, point, base_horizon_,
+                                         lp_budget, context_));
+    }
+  }
+  report_ = Report(spec_.name, axis_label(spec_.axis),
+                   regret() ? std::vector<std::string>{"reward"}
+                            : spec_.metrics,
+                   std::move(labels));
+
+  if (runner.checkpoint_.dir.empty()) return;
+  store_.emplace(runner.checkpoint_.dir);
+  if (runner.checkpoint_.resume) load();
+}
+
+Report Runner::Execution::run() {
+  for (std::size_t p = resume_ ? resume_->at.point : 0; p < points_.size();
+       ++p) {
+    if (report_.num_points() == p) {
+      report_.start_point(points_[p], point_label(spec_.axis, points_[p]));
+    }
+    const std::size_t first = resume_ && resume_->at.point == p
+                                  ? resume_->at.unit
+                                  : 0;
+    const std::size_t n = units(p);
+    if (!store_ && regret()) {
+      rewards_ = util::parallel_map(
+          n, [&](std::size_t task) { return regret_task(p, task); });
+      reduce_regret(p);
+    } else if (!store_) {
+      const auto samples = util::parallel_map(n, [&](std::size_t s) {
+        std::vector<MetricMap> out;
+        sweep_seed(p, s, [&](std::size_t, MetricMap m) {
+          out.push_back(std::move(m));
+        });
+        return out;
+      });
+      for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t i = 0; i < samples[s].size(); ++i) {
+          record(p, s, i, samples[s][i]);
+        }
+      }
+    } else if (regret()) {
+      for (std::size_t task = first; task < n; ++task) {
+        rewards_.push_back(regret_task(p, task));
+        if (task + 1 == n) reduce_regret(p);
+        boundary(next_boundary({p, task, 0, 0}, n, 1));
+      }
+    } else {
+      for (std::size_t s = first; s < n; ++s) {
+        sweep_seed(p, s, [&](std::size_t i, MetricMap m) {
+          record(p, s, i, m);
+          boundary(next_boundary({p, s, i, 0}, n, resolved_.size()));
+        });
+      }
+    }
+  }
+  return std::move(report_);
+}
+
+/// One sweep seed: its instances and chaos plan, then every policy from
+/// the cursor's on, each handed to `done` as it finishes. An online
+/// policy runs fault-free first; under faults a fresh policy then runs
+/// the same instance faulted (common random numbers).
+void Runner::Execution::sweep_seed(
+    std::size_t p, std::size_t s,
+    const std::function<void(std::size_t, MetricMap)>& done) {
+  const PointSetup& setup = setups_[p];
+  const unsigned seed = seeds_[s];
+  count_trial(p, s);
+  std::optional<Instance> offline_inst;
+  std::optional<Instance> online_inst;
+  if (any_offline_) {
+    offline_inst.emplace(make_instance(seed, setup.offline_config));
+  }
+  if (any_online_) {
+    online_inst.emplace(make_instance(seed, setup.online_config));
+  }
+
+  sim::FaultPlan plan = file_plan_;
+  if (setup.chaos_intensity > 0.0 && online_inst) {
+    sim::ChaosParams chaos;
+    chaos.intensity = setup.chaos_intensity;
+    // The plan derives entirely from the trial seed (offset so the
+    // chaos stream is independent of the workload stream).
+    util::Rng chaos_rng(seed * 2654435761u + 17u);
+    plan = sim::generate_chaos(online_inst->topo, chaos, setup.horizon,
+                               chaos_rng);
+  }
+
+  for (std::size_t i = resumes(p, s) ? resume_->at.policy : 0;
+       i < resolved_.size(); ++i) {
+    const std::string& name = resolved_[i].name;
+    if (!resolved_[i].online) {
+      done(i, offline_trial_metrics(*runner_.registry_, spec_, name,
+                                    *offline_inst, seed));
+      continue;
+    }
+    sim::OnlineParams params;
+    params.horizon_slots = setup.horizon;
+    params.alg = spec_.alg;
+    params.mobility = spec_.mobility;
+    params.collect_detail = spec_.collect_detail;
+    const auto leg = [&](std::uint8_t stage, const sim::OnlineMetrics* ref) {
+      auto policy = runner_.registry_->make_online(
+          name, online_inst->topo, spec_.alg, setup.rr,
+          util::Rng(seed + spec_.policy_seed_offset));
+      sim::OnlineSimulator simulator(online_inst->topo, online_inst->requests,
+                                     online_inst->realized, params);
+      return simulate(simulator, *policy, {p, s, i, stage}, ref);
+    };
+    const bool ref_done = resume_ && resume_->at == Cursor{p, s, i, 2};
+    const sim::OnlineMetrics ref = ref_done ? *resume_->ref : leg(1, nullptr);
+    sim::OnlineMetrics metrics = ref;
+    if (!plan.empty()) {
+      params.faults = plan;
+      metrics = leg(2, &ref);
+    }
+    done(i, online_trial_metrics(spec_, metrics, ref));
+  }
+}
+
+/// One regret task: DynamicRR pinned to one fixed arm, or learning.
+double Runner::Execution::regret_task(std::size_t p, std::size_t task) {
+  const RegretPoint& rp = regret_points_[p];
+  const std::size_t per_seed = rp.arms.size() + 1;
+  const unsigned seed = seeds_[task / per_seed];
+  const std::size_t k = task % per_seed;
+  count_trial(p, task);
+  const Instance inst = make_instance(seed, rp.config);
+  sim::OnlineParams params;
+  params.horizon_slots = rp.horizon;
+  sim::DynamicRrParams dparams = rp.rr;
+  if (k < rp.arms.size()) {
+    dparams.kappa = 1;
+    dparams.threshold_min_mhz = rp.arms[k];
+    dparams.threshold_max_mhz = rp.arms[k];
+  }
+  auto policy = runner_.registry_->make_online(
+      "DynamicRR", inst.topo, spec_.alg, dparams,
+      util::Rng(seed + spec_.policy_seed_offset));
+  sim::OnlineSimulator simulator(inst.topo, inst.requests, inst.realized,
+                                 params);
+  return simulate(simulator, *policy, {p, task, 0, 1}, nullptr).total_reward;
+}
+
+/// Runs one simulation leg at cursor `at`. A checkpointed run saves a
+/// generation every `every_slots` slots and restarts the cursor's leg
+/// from its snapshot.
+sim::OnlineMetrics Runner::Execution::simulate(
+    sim::OnlineSimulator& simulator, sim::OnlinePolicy& policy,
+    const Cursor& at, const sim::OnlineMetrics* ref) {
+  if (!store_) return simulator.run(policy);
+  MidSimHook hook;
+  hook.every = runner_.checkpoint_.every_slots;
+  hook.sink = [&](sim::SimSnapshot snap) { save(at, ref, &snap); };
+  const bool in_flight = resume_ && resume_->at == at;
+  return simulator.run(policy, &hook, in_flight ? &*resume_->snap : nullptr);
+}
+
+/// Counts one exp trial per unit, as it starts. A restored registry has
+/// already counted the unit the cursor sits inside.
+void Runner::Execution::count_trial(std::size_t p, std::size_t unit) const {
+  if (!resumes(p, unit) || resume_->at == Cursor{p, unit, 0, 0}) {
+    obs::metrics().exp_trials.add();
+  }
+}
+
+void Runner::Execution::record(std::size_t p, std::size_t s, std::size_t i,
+                               const MetricMap& m) {
+  const std::string& label = report_.policies()[i];
+  if (runner_.observer_) {
+    runner_.observer_({.point_index = p,
+                       .point_value = points_[p],
+                       .seed = seeds_[s],
+                       .policy = &label,
+                       .metrics = &m});
+  }
+  for (const std::string& metric : spec_.metrics) {
+    const auto it = m.find(metric);
+    if (it != m.end()) report_.add(metric, label, it->second);
+  }
+}
+
+/// Theorem 3's reduction of a finished point: per seed, the best fixed
+/// arm in hindsight and the learned run.
+void Runner::Execution::reduce_regret(std::size_t p) {
+  const std::size_t arms = regret_points_[p].arms.size();
+  for (std::size_t s = 0; s < seeds_.size(); ++s) {
+    double best = 0.0;
+    for (std::size_t k = 0; k < arms; ++k) {
+      best = std::max(best, rewards_[s * (arms + 1) + k]);
+    }
+    report_.add("reward", "best fixed", best);
+    report_.add("reward", "DynamicRR", rewards_[s * (arms + 1) + arms]);
+  }
+  rewards_.clear();
+}
+
+/// Persists the boundary `next` after a completed unit (checkpointed runs
+/// only), then passes the --crash-after-units gate.
+void Runner::Execution::boundary(const Cursor& next) {
+  if (!store_) return;
+  save(next, nullptr, nullptr);
+  sim::unit_crash_point(++done_units_);
+}
+
+void Runner::Execution::save(const Cursor& at, const sim::OnlineMetrics* ref,
+                             const sim::SimSnapshot* snap) {
+  util::SnapshotWriter w;
+  w.str(spec_.name);  // the fingerprint check_fingerprint reads
+  w.u8(regret() ? 1 : 0);
+  w.i32(static_cast<std::int32_t>(seeds_.size()));
+  w.i32(base_horizon_);
+  w.i32(runner_.lp_budget_override_);
+  w.vec(points_, [&](double v) { w.f64(v); });
+  w.vec(report_.metrics(), [&](const std::string& v) { w.str(v); });
+  w.vec(report_.policies(), [&](const std::string& v) { w.str(v); });
+  report_.save(w);
+  w.u64(at.point);
+  w.u64(at.unit);
+  w.u64(at.policy);
+  w.u8(at.stage);
+  w.vec(rewards_, [&](double v) { w.f64(v); });
+  w.boolean(ref != nullptr);
+  if (ref != nullptr) sim::save_online_metrics(w, *ref);
+  w.boolean(snap != nullptr);
+  if (snap != nullptr) sim::save_sim_snapshot(w, *snap);
+  obs::save_metrics_snapshot(obs::registry().snapshot(), w);
+  store_->write(w.finish(kCkptMagic, kCkptVersion));
+}
+
+/// Throws std::invalid_argument when the checkpoint's fingerprint differs
+/// from the current run configuration in `field` terms a user can act on.
+void Runner::Execution::check_fingerprint(util::SnapshotReader& r) const {
+  const auto mismatch = [&](const char* field) {
+    throw std::invalid_argument(
+        context_ + "checkpoint was written by a different run configuration (" +
+        field + " differs); pass a fresh --checkpoint-dir or matching flags");
+  };
+  const auto strings = [&] {
+    return r.vec<std::string>([&] { return r.str(); });
+  };
+  if (r.str() != spec_.name) mismatch("scenario name");
+  if (r.u8() != (regret() ? 1 : 0)) mismatch("scenario kind");
+  if (r.i32() != static_cast<std::int32_t>(seeds_.size())) mismatch("seeds");
+  if (r.i32() != base_horizon_) mismatch("horizon");
+  if (r.i32() != runner_.lp_budget_override_) mismatch("lp budget");
+  if (r.vec<double>([&] { return r.f64(); }) != points_) mismatch("points");
+  if (strings() != report_.metrics()) mismatch("metrics");
+  if (strings() != report_.policies()) mismatch("policies");
+}
+
+/// Walks the generation ladder newest-first and resumes from the first
+/// generation that parses and fits this run, restoring the obs registry
+/// as a side effect. A generation failing CRC, parse or fit validation
+/// logs a structured diagnostic and falls back to the previous one; an
+/// empty or fully rejected ladder starts fresh. A fingerprint mismatch is
+/// a user error and propagates as std::invalid_argument instead.
+void Runner::Execution::load() {
+  for (const std::string& path : store_->generations()) {
+    try {
+      const std::vector<std::uint8_t> bytes =
+          sim::CheckpointStore::read_file(path);
+      util::SnapshotReader r(bytes, kCkptMagic, kCkptVersion);
+      check_fingerprint(r);
+      Report report;
+      report.load(r);
+      Resume c;
+      c.at.point = static_cast<std::size_t>(r.u64());
+      c.at.unit = static_cast<std::size_t>(r.u64());
+      c.at.policy = static_cast<std::size_t>(r.u64());
+      c.at.stage = r.u8();
+      c.rewards = r.vec<double>([&] { return r.f64(); });
+      if (r.boolean()) c.ref = sim::load_online_metrics(r);
+      if (r.boolean()) c.snap = sim::load_sim_snapshot(r);
+      const obs::MetricsSnapshot ms = obs::load_metrics_snapshot(r);
+      r.expect_end();
+      if (const char* why = misfit(report, c)) {
+        throw util::SnapshotParseError(r.offset(), why);
+      }
+      report_ = std::move(report);
+      rewards_ = std::move(c.rewards);
+      resume_ = std::move(c);
+      obs::metrics();  // restore() only fills metrics already registered
+      obs::registry().restore(ms);
+      std::fprintf(stderr, "mecar: resuming from %s\n", path.c_str());
+      return;
+    } catch (const util::SnapshotParseError& e) {
+      std::fprintf(stderr,
+                   "mecar: checkpoint %s rejected at byte %zu (%s); "
+                   "falling back to the previous generation\n",
+                   path.c_str(), e.offset(), e.what());
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr,
+                   "mecar: checkpoint %s unreadable (%s); "
+                   "falling back to the previous generation\n",
+                   path.c_str(), e.what());
+    }
+  }
+  std::fprintf(stderr, "mecar: no usable checkpoint in %s; starting fresh\n",
+               store_->dir().c_str());
+}
+
+/// Why a parsed generation cannot be this run's state, or nullptr when it
+/// fits: the cursor must lie in the run, carry exactly its stage's
+/// in-flight state, and agree with the report's points.
+const char* Runner::Execution::misfit(const Report& report,
+                                      const Resume& c) const {
+  const Cursor& at = c.at;
+  const bool inside = at.unit > 0 || at.policy > 0 || at.stage > 0;
+  if (at.point > points_.size() ||
+      (at.point == points_.size()
+           ? inside
+           : at.unit >= units(at.point) ||
+                 at.policy >= (regret() ? 1 : resolved_.size()) ||
+                 at.stage > (regret() ? 1 : 2))) {
+    return "cursor out of range";
+  }
+  if (c.rewards.size() != (regret() ? at.unit : 0)) {
+    return "completed task rewards do not match the cursor";
+  }
+  if (c.ref.has_value() != (at.stage == 2) ||
+      c.snap.has_value() != (at.stage > 0)) {
+    return "in-flight state does not match the cursor stage";
+  }
+  if (report.scenario_name() != report_.scenario_name() ||
+      report.axis_label() != report_.axis_label() ||
+      report.metrics() != report_.metrics() ||
+      report.policies() != report_.policies()) {
+    return "report metrics or policies differ from the run's";
+  }
+  const std::size_t started = at.point + (inside ? 1 : 0);
+  if (report.num_points() != started) {
+    return "report point count does not match the cursor";
+  }
+  for (std::size_t q = 0; q < started; ++q) {
+    if (report.points()[q] != points_[q] ||
+        report.point_labels()[q] != point_label(spec_.axis, points_[q])) {
+      return "report points differ from the run's";
+    }
+  }
+  return nullptr;
+}
+
 Runner::Runner(ScenarioSpec spec, const PolicyRegistry& registry)
     : spec_(std::move(spec)), registry_(&registry) {}
 
@@ -335,555 +794,6 @@ void Runner::set_checkpoint(CheckpointOptions options) {
   checkpoint_ = std::move(options);
 }
 
-Report Runner::run() const {
-  const ScenarioSpec& spec = spec_;
-  const std::string context = "scenario '" + spec.name + "': ";
-  const int num_seeds = seeds_override_ > 0 ? seeds_override_ : spec.seeds;
-  if (num_seeds < 1) throw std::invalid_argument(context + "seeds must be >= 1");
-  const int base_horizon =
-      horizon_override_ >= 0 ? horizon_override_ : spec.horizon;
-
-  std::vector<double> points = spec.points;
-  if (spec.axis == SweepAxis::kNone) {
-    if (points.size() > 1) {
-      throw std::invalid_argument(context +
-                                  "axis 'none' admits at most one point");
-    }
-    if (points.empty()) points.push_back(0.0);
-  } else if (points.empty()) {
-    throw std::invalid_argument(context + "sweep axis set but no points");
-  }
-
-  const std::vector<unsigned> seeds = bench_seeds(num_seeds);
-
-  // ---- Theorem-3 regret protocol -------------------------------------
-  if (spec.kind == ScenarioKind::kRegret) {
-    if (!checkpoint_.dir.empty()) {
-      return run_regret_checkpointed(seeds, base_horizon, points);
-    }
-    Report report(spec.name, axis_label(spec.axis), {"reward"},
-                  {"best fixed", "DynamicRR"});
-    for (const double point : points) {
-      const int kappa = spec.axis == SweepAxis::kKappa
-                            ? static_cast<int>(point)
-                            : spec.rr.kappa;
-      const int horizon = spec.axis == SweepAxis::kHorizon
-                              ? static_cast<int>(point)
-                              : base_horizon;
-      if (horizon <= 0) {
-        throw std::invalid_argument(context +
-                                    "regret scenarios need a horizon > 0");
-      }
-      InstanceConfig config = spec.base;
-      config.horizon_slots = horizon;
-      if (spec.axis == SweepAxis::kHorizon && spec.requests_per_slot > 0.0) {
-        config.num_requests =
-            static_cast<int>(point * spec.requests_per_slot);
-      }
-      const bandit::LipschitzGrid grid(spec.rr.threshold_min_mhz,
-                                       spec.rr.threshold_max_mhz, kappa);
-      const std::size_t arms = static_cast<std::size_t>(grid.num_arms());
-      // Task layout per seed s: indices [s*(arms+1), s*(arms+1)+arms) are
-      // the fixed-arm runs, index s*(arms+1)+arms is the learned run.
-      const std::size_t per_seed = arms + 1;
-      const auto rewards = util::parallel_map(
-          seeds.size() * per_seed, [&](std::size_t i) {
-            obs::metrics().exp_trials.add();
-            const unsigned seed = seeds[i / per_seed];
-            const std::size_t k = i % per_seed;
-            const Instance inst = make_instance(seed, config);
-            sim::OnlineParams params;
-            params.horizon_slots = horizon;
-            sim::DynamicRrParams dparams = spec.rr;
-            if (lp_budget_override_ > 0) {
-              dparams.lp_pivot_budget = lp_budget_override_;
-            }
-            if (k < arms) {
-              dparams.kappa = 1;
-              dparams.threshold_min_mhz = grid.value(static_cast<int>(k));
-              dparams.threshold_max_mhz = dparams.threshold_min_mhz;
-            } else {
-              dparams.kappa = kappa;
-            }
-            auto policy = registry_->make_online(
-                "DynamicRR", inst.topo, spec.alg, dparams,
-                util::Rng(seed + spec.policy_seed_offset));
-            sim::OnlineSimulator simulator(inst.topo, inst.requests,
-                                           inst.realized, params);
-            return simulator.run(*policy).total_reward;
-          });
-      report.start_point(point, point_label(spec.axis, point));
-      for (std::size_t s = 0; s < seeds.size(); ++s) {
-        double best = 0.0;
-        for (std::size_t k = 0; k < arms; ++k) {
-          best = std::max(best, rewards[s * per_seed + k]);
-        }
-        report.add("reward", "best fixed", best);
-        report.add("reward", "DynamicRR", rewards[s * per_seed + arms]);
-      }
-    }
-    return report;
-  }
-
-  // ---- Generic sweep --------------------------------------------------
-  if (spec.policies.empty()) {
-    throw std::invalid_argument(context + "no policies to compare");
-  }
-  if (spec.metrics.empty()) {
-    throw std::invalid_argument(context + "no metrics to collect");
-  }
-  for (const std::string& metric : spec.metrics) {
-    if (known_metrics().count(metric) == 0) {
-      std::string known;
-      for (const std::string& name : known_metrics()) {
-        known += (known.empty() ? "" : ", ") + name;
-      }
-      throw std::invalid_argument(context + "unknown metric '" + metric +
-                                  "' (known: " + known + ")");
-    }
-  }
-
-  std::vector<ResolvedPolicy> resolved;
-  std::vector<std::string> labels;
-  resolved.reserve(spec.policies.size());
-  bool any_offline = false;
-  bool any_online = false;
-  for (const PolicyRef& ref : spec.policies) {
-    resolved.push_back(resolve_policy(*registry_, ref.name, base_horizon));
-    (resolved.back().online ? any_online : any_offline) = true;
-    const std::string label =
-        ref.label.empty() ? resolved.back().name : ref.label;
-    if (std::find(labels.begin(), labels.end(), label) != labels.end()) {
-      throw std::invalid_argument(context + "duplicate policy label '" +
-                                  label + "'");
-    }
-    labels.push_back(label);
-  }
-  if (any_online && base_horizon <= 0 && spec.axis != SweepAxis::kHorizon) {
-    throw std::invalid_argument(context +
-                                "online policies need a horizon > 0");
-  }
-
-  sim::FaultPlan file_plan;
-  if (!spec.fault_plan_path.empty()) {
-    std::ifstream file(spec.fault_plan_path);
-    if (!file) {
-      throw std::invalid_argument(context + "cannot open fault plan '" +
-                                  spec.fault_plan_path + "'");
-    }
-    file_plan = sim::read_fault_plan(file);
-  }
-
-  if (!checkpoint_.dir.empty()) {
-    return run_sweep_checkpointed(seeds, base_horizon, points, resolved,
-                                  labels, any_offline, any_online, file_plan);
-  }
-
-  Report report(spec.name, axis_label(spec.axis), spec.metrics, labels);
-
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const double point = points[p];
-    const PointSetup setup =
-        make_point_setup(spec, point, base_horizon, lp_budget_override_);
-
-    // One trial = one (sweep point, seed) pair; trials are independent and
-    // fully determined by their seed, so the pool runs them concurrently
-    // and the ordered reduction below reproduces the serial output bit for
-    // bit.
-    const auto samples = sweep_seeds(seeds, [&](unsigned seed) {
-      obs::metrics().exp_trials.add();
-      std::vector<MetricMap> out;
-      out.reserve(resolved.size());
-      std::optional<Instance> offline_inst;
-      std::optional<Instance> online_inst;
-      if (any_offline) {
-        offline_inst.emplace(make_instance(seed, setup.offline_config));
-      }
-      if (any_online) {
-        online_inst.emplace(make_instance(seed, setup.online_config));
-      }
-
-      sim::FaultPlan plan = file_plan;
-      if (setup.chaos_intensity > 0.0) {
-        sim::ChaosParams chaos;
-        chaos.intensity = setup.chaos_intensity;
-        // The plan derives entirely from the trial seed (offset so the
-        // chaos stream is independent of the workload stream).
-        util::Rng chaos_rng(seed * 2654435761u + 17u);
-        plan = sim::generate_chaos(online_inst->topo, chaos, setup.horizon,
-                                   chaos_rng);
-      }
-
-      for (const ResolvedPolicy& policy : resolved) {
-        MetricMap m;
-        if (!policy.online) {
-          m = offline_trial_metrics(*registry_, spec, policy.name,
-                                    *offline_inst, seed);
-        } else {
-          sim::OnlineParams params;
-          params.horizon_slots = setup.horizon;
-          params.alg = spec.alg;
-          params.mobility = spec.mobility;
-          params.collect_detail = spec.collect_detail;
-
-          // Fault-free reference with common random numbers (the faulted
-          // run reuses the same instance and a fresh policy).
-          auto ref_policy = registry_->make_online(
-              policy.name, online_inst->topo, spec.alg, setup.rr,
-              util::Rng(seed + spec.policy_seed_offset));
-          sim::OnlineSimulator ref_sim(online_inst->topo,
-                                       online_inst->requests,
-                                       online_inst->realized, params);
-          const sim::OnlineMetrics ref = ref_sim.run(*ref_policy);
-
-          sim::OnlineMetrics metrics = ref;
-          if (!plan.empty()) {
-            params.faults = plan;
-            auto faulted_policy = registry_->make_online(
-                policy.name, online_inst->topo, spec.alg, setup.rr,
-                util::Rng(seed + spec.policy_seed_offset));
-            sim::OnlineSimulator faulted_sim(online_inst->topo,
-                                             online_inst->requests,
-                                             online_inst->realized, params);
-            metrics = faulted_sim.run(*faulted_policy);
-          }
-
-          m = online_trial_metrics(spec, metrics, ref);
-        }
-        out.push_back(std::move(m));
-      }
-      return out;
-    });
-
-    report.start_point(point, point_label(spec.axis, point));
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-      for (std::size_t i = 0; i < labels.size(); ++i) {
-        const MetricMap& m = samples[s][i];
-        if (observer_) {
-          TrialObservation obs;
-          obs.point_index = p;
-          obs.point_value = point;
-          obs.seed = seeds[s];
-          obs.policy = &labels[i];
-          obs.metrics = &m;
-          observer_(obs);
-        }
-        for (const std::string& metric : spec.metrics) {
-          const auto it = m.find(metric);
-          if (it != m.end()) report.add(metric, labels[i], it->second);
-        }
-      }
-    }
-  }
-  return report;
-}
-
-// ---- Serial checkpointed execution -----------------------------------
-//
-// Same computations, same (point, seed, policy) reduction order as the
-// pooled path above, so the resulting Report is bit-identical — but one
-// unit at a time, with a checkpoint generation written after every unit
-// and (via MidSimHook) every checkpoint_.every_slots simulated slots.
-// Invariants the cursor encodes:
-//  * sweep: the report holds start_point for every point <= cursor.point
-//    and the adds of every unit strictly before (point, seed, policy);
-//  * regret: the report holds the reduction of every point < cursor.point
-//    (a point's start_point/adds land atomically after its last task),
-//    and `rewards` holds the tasks strictly before cursor.task.
-// Resuming replays nothing: completed units are skipped, an in-flight
-// simulation restarts from its SimSnapshot, and the obs registry picks up
-// from its restored totals.
-
-Report Runner::run_sweep_checkpointed(
-    const std::vector<unsigned>& seeds, int base_horizon,
-    const std::vector<double>& points,
-    const std::vector<ResolvedPolicy>& resolved,
-    const std::vector<std::string>& labels, bool any_offline, bool any_online,
-    const sim::FaultPlan& file_plan) const {
-  const ScenarioSpec& spec = spec_;
-  const std::string context = "scenario '" + spec.name + "': ";
-  sim::CheckpointStore store(checkpoint_.dir);
-
-  CkptFingerprint fp;
-  fp.name = spec.name;
-  fp.kind = 0;
-  fp.num_seeds = static_cast<std::int32_t>(seeds.size());
-  fp.base_horizon = base_horizon;
-  fp.lp_budget = lp_budget_override_;
-  fp.points = points;
-  fp.metrics = spec.metrics;
-  fp.policies = labels;
-
-  Report report(spec.name, axis_label(spec.axis), spec.metrics, labels);
-  ResumeCursor cur;
-  bool resumed = false;
-  if (checkpoint_.resume) {
-    resumed = load_latest_checkpoint(store, fp, context, report, cur);
-  }
-
-  const auto write_ckpt = [&](std::size_t p, std::size_t s, std::size_t i,
-                              std::uint8_t stage,
-                              const sim::OnlineMetrics* ref,
-                              const sim::SimSnapshot* snap) {
-    util::SnapshotWriter w;
-    save_fingerprint(fp, w);
-    report.save(w);
-    w.u64(p);
-    w.u64(s);
-    w.u64(i);
-    w.u8(stage);
-    w.boolean(ref != nullptr);
-    if (ref != nullptr) sim::save_online_metrics(w, *ref);
-    w.boolean(snap != nullptr);
-    if (snap != nullptr) sim::save_sim_snapshot(w, *snap);
-    obs::save_metrics_snapshot(obs::registry().snapshot(), w);
-    store.write(w.finish(kCkptMagic, kCkptVersion));
-  };
-
-  int done_units = 0;
-  for (std::size_t p = cur.point; p < points.size(); ++p) {
-    const double point = points[p];
-    const PointSetup setup =
-        make_point_setup(spec, point, base_horizon, lp_budget_override_);
-    if (report.num_points() <= p) {
-      report.start_point(point, point_label(spec.axis, point));
-    }
-    for (std::size_t s = p == cur.point ? cur.seed : 0; s < seeds.size();
-         ++s) {
-      const unsigned seed = seeds[s];
-      const bool resumed_seed = resumed && p == cur.point && s == cur.seed;
-      // The pooled path counts one exp trial per (point, seed) before its
-      // first policy; a restored registry already holds that count when
-      // the cursor sits past the seed's first policy boundary.
-      if (!(resumed_seed && (cur.policy > 0 || cur.stage != 0))) {
-        obs::metrics().exp_trials.add();
-      }
-      std::optional<Instance> offline_inst;
-      std::optional<Instance> online_inst;
-      if (any_offline) {
-        offline_inst.emplace(make_instance(seed, setup.offline_config));
-      }
-      if (any_online) {
-        online_inst.emplace(make_instance(seed, setup.online_config));
-      }
-
-      sim::FaultPlan plan = file_plan;
-      if (setup.chaos_intensity > 0.0) {
-        sim::ChaosParams chaos;
-        chaos.intensity = setup.chaos_intensity;
-        util::Rng chaos_rng(seed * 2654435761u + 17u);
-        plan = sim::generate_chaos(online_inst->topo, chaos, setup.horizon,
-                                   chaos_rng);
-      }
-
-      for (std::size_t i = resumed_seed ? cur.policy : 0; i < resolved.size();
-           ++i) {
-        const ResolvedPolicy& policy = resolved[i];
-        const bool resumed_unit = resumed_seed && i == cur.policy;
-        MetricMap m;
-        if (!policy.online) {
-          m = offline_trial_metrics(*registry_, spec, policy.name,
-                                    *offline_inst, seed);
-        } else {
-          sim::OnlineParams params;
-          params.horizon_slots = setup.horizon;
-          params.alg = spec.alg;
-          params.mobility = spec.mobility;
-          params.collect_detail = spec.collect_detail;
-
-          sim::OnlineMetrics ref;
-          if (resumed_unit && cur.stage == 2 && cur.ref) {
-            ref = *cur.ref;  // reference leg finished before the crash
-          } else {
-            auto ref_policy = registry_->make_online(
-                policy.name, online_inst->topo, spec.alg, setup.rr,
-                util::Rng(seed + spec.policy_seed_offset));
-            MidSimHook hook;
-            hook.every = checkpoint_.every_slots;
-            hook.sink = [&](sim::SimSnapshot snap) {
-              write_ckpt(p, s, i, 1, nullptr, &snap);
-            };
-            const sim::SimSnapshot* from =
-                resumed_unit && cur.stage == 1 && cur.snap ? &*cur.snap
-                                                           : nullptr;
-            sim::OnlineSimulator ref_sim(online_inst->topo,
-                                         online_inst->requests,
-                                         online_inst->realized, params);
-            ref = ref_sim.run(*ref_policy, &hook, from);
-          }
-
-          sim::OnlineMetrics metrics = ref;
-          if (!plan.empty()) {
-            params.faults = plan;
-            auto faulted_policy = registry_->make_online(
-                policy.name, online_inst->topo, spec.alg, setup.rr,
-                util::Rng(seed + spec.policy_seed_offset));
-            MidSimHook hook;
-            hook.every = checkpoint_.every_slots;
-            hook.sink = [&](sim::SimSnapshot snap) {
-              write_ckpt(p, s, i, 2, &ref, &snap);
-            };
-            const sim::SimSnapshot* from =
-                resumed_unit && cur.stage == 2 && cur.snap ? &*cur.snap
-                                                           : nullptr;
-            sim::OnlineSimulator faulted_sim(online_inst->topo,
-                                             online_inst->requests,
-                                             online_inst->realized, params);
-            metrics = faulted_sim.run(*faulted_policy, &hook, from);
-          }
-          m = online_trial_metrics(spec, metrics, ref);
-        }
-
-        if (observer_) {
-          TrialObservation obs;
-          obs.point_index = p;
-          obs.point_value = point;
-          obs.seed = seed;
-          obs.policy = &labels[i];
-          obs.metrics = &m;
-          observer_(obs);
-        }
-        for (const std::string& metric : spec.metrics) {
-          const auto it = m.find(metric);
-          if (it != m.end()) report.add(metric, labels[i], it->second);
-        }
-
-        // Advance the cursor past this unit and persist the boundary.
-        std::size_t np = p;
-        std::size_t ns = s;
-        std::size_t ni = i + 1;
-        if (ni == resolved.size()) {
-          ni = 0;
-          ++ns;
-        }
-        if (ns == seeds.size()) {
-          ns = 0;
-          ++np;
-        }
-        write_ckpt(np, ns, ni, 0, nullptr, nullptr);
-        sim::unit_crash_point(++done_units);
-      }
-    }
-  }
-  return report;
-}
-
-Report Runner::run_regret_checkpointed(
-    const std::vector<unsigned>& seeds, int base_horizon,
-    const std::vector<double>& points) const {
-  const ScenarioSpec& spec = spec_;
-  const std::string context = "scenario '" + spec.name + "': ";
-  sim::CheckpointStore store(checkpoint_.dir);
-
-  CkptFingerprint fp;
-  fp.name = spec.name;
-  fp.kind = 1;
-  fp.num_seeds = static_cast<std::int32_t>(seeds.size());
-  fp.base_horizon = base_horizon;
-  fp.lp_budget = lp_budget_override_;
-  fp.points = points;
-  fp.metrics = {"reward"};
-  fp.policies = {"best fixed", "DynamicRR"};
-
-  Report report(spec.name, axis_label(spec.axis), {"reward"},
-                {"best fixed", "DynamicRR"});
-  ResumeCursor cur;
-  bool resumed = false;
-  if (checkpoint_.resume) {
-    resumed = load_latest_checkpoint(store, fp, context, report, cur);
-  }
-
-  std::vector<double> rewards;
-  const auto write_ckpt = [&](std::size_t p, std::size_t task,
-                              std::uint8_t stage,
-                              const sim::SimSnapshot* snap) {
-    util::SnapshotWriter w;
-    save_fingerprint(fp, w);
-    report.save(w);
-    w.u64(p);
-    w.u64(task);
-    w.u8(stage);
-    w.vec(rewards, [&](double v) { w.f64(v); });
-    w.boolean(snap != nullptr);
-    if (snap != nullptr) sim::save_sim_snapshot(w, *snap);
-    obs::save_metrics_snapshot(obs::registry().snapshot(), w);
-    store.write(w.finish(kCkptMagic, kCkptVersion));
-  };
-
-  int done_units = 0;
-  for (std::size_t p = cur.point; p < points.size(); ++p) {
-    const double point = points[p];
-    const int kappa = spec.axis == SweepAxis::kKappa ? static_cast<int>(point)
-                                                     : spec.rr.kappa;
-    const int horizon = spec.axis == SweepAxis::kHorizon
-                            ? static_cast<int>(point)
-                            : base_horizon;
-    if (horizon <= 0) {
-      throw std::invalid_argument(context +
-                                  "regret scenarios need a horizon > 0");
-    }
-    InstanceConfig config = spec.base;
-    config.horizon_slots = horizon;
-    if (spec.axis == SweepAxis::kHorizon && spec.requests_per_slot > 0.0) {
-      config.num_requests = static_cast<int>(point * spec.requests_per_slot);
-    }
-    const bandit::LipschitzGrid grid(spec.rr.threshold_min_mhz,
-                                     spec.rr.threshold_max_mhz, kappa);
-    const std::size_t arms = static_cast<std::size_t>(grid.num_arms());
-    const std::size_t per_seed = arms + 1;
-    const std::size_t total = seeds.size() * per_seed;
-
-    rewards.clear();
-    std::size_t first_task = 0;
-    if (resumed && p == cur.point) {
-      rewards = cur.rewards;
-      first_task = cur.task;
-    }
-    for (std::size_t i = first_task; i < total; ++i) {
-      const bool resumed_task = resumed && p == cur.point && i == cur.task;
-      if (!(resumed_task && cur.stage != 0)) obs::metrics().exp_trials.add();
-      const unsigned seed = seeds[i / per_seed];
-      const std::size_t k = i % per_seed;
-      const Instance inst = make_instance(seed, config);
-      sim::OnlineParams params;
-      params.horizon_slots = horizon;
-      sim::DynamicRrParams dparams = spec.rr;
-      if (lp_budget_override_ > 0) {
-        dparams.lp_pivot_budget = lp_budget_override_;
-      }
-      if (k < arms) {
-        dparams.kappa = 1;
-        dparams.threshold_min_mhz = grid.value(static_cast<int>(k));
-        dparams.threshold_max_mhz = dparams.threshold_min_mhz;
-      } else {
-        dparams.kappa = kappa;
-      }
-      auto policy = registry_->make_online(
-          "DynamicRR", inst.topo, spec.alg, dparams,
-          util::Rng(seed + spec.policy_seed_offset));
-      sim::OnlineSimulator simulator(inst.topo, inst.requests, inst.realized,
-                                     params);
-      MidSimHook hook;
-      hook.every = checkpoint_.every_slots;
-      hook.sink = [&](sim::SimSnapshot snap) { write_ckpt(p, i, 1, &snap); };
-      const sim::SimSnapshot* from =
-          resumed_task && cur.stage == 1 && cur.snap ? &*cur.snap : nullptr;
-      rewards.push_back(simulator.run(*policy, &hook, from).total_reward);
-      write_ckpt(p, i + 1, 0, nullptr);
-      sim::unit_crash_point(++done_units);
-    }
-
-    report.start_point(point, point_label(spec.axis, point));
-    for (std::size_t s = 0; s < seeds.size(); ++s) {
-      double best = 0.0;
-      for (std::size_t k = 0; k < arms; ++k) {
-        best = std::max(best, rewards[s * per_seed + k]);
-      }
-      report.add("reward", "best fixed", best);
-      report.add("reward", "DynamicRR", rewards[s * per_seed + arms]);
-    }
-  }
-  return report;
-}
+Report Runner::run() const { return Execution(*this).run(); }
 
 }  // namespace mecar::exp

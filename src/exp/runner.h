@@ -1,8 +1,9 @@
-// Executes any ScenarioSpec: builds instances, fans the (point, seed)
-// trials out over the process thread pool via sweep_seeds (the
+// Executes any ScenarioSpec: derives and checks every sweep point, builds
+// instances, runs each point's trials over the process thread pool (the
 // determinism contract: every trial derives all randomness from its seed
 // and the reduction is serial in seed order, so results are bit-identical
-// to a serial sweep), and reduces into an exp::Report.
+// to a serial sweep), and reduces into an exp::Report. A checkpointed run
+// walks the same units one at a time (CheckpointOptions).
 //
 // Metric names a trial produces (collect any subset via spec.metrics):
 //   offline policies: reward, latency, runtime_ms, admitted, rewarded,
@@ -47,15 +48,12 @@ struct TrialObservation {
 };
 
 /// Checkpointing configuration (`mecar_cli experiment --checkpoint-dir`).
-/// A non-empty `dir` switches run() to the serial checkpointed execution
-/// path: trials run one (point, seed, policy) unit at a time instead of
-/// fanning out over the thread pool, a checkpoint generation is written
-/// after every completed unit and — for online simulations — every
-/// `every_slots` simulated slots, and `resume` continues from the newest
-/// readable generation. The serial path performs the exact same
-/// computations in the exact same reduction order as the pooled path, so
-/// its Report (and hence stdout) is bit-identical, and a resumed run is
-/// bit-identical to an uninterrupted one.
+/// A non-empty `dir` makes run() execute its units one at a time instead
+/// of on the thread pool, writing a checkpoint generation after every
+/// completed unit and every `every_slots` simulated slots; `resume`
+/// continues from the newest generation that parses and fits the run.
+/// The Report (and hence stdout) is bit-identical either way, and a
+/// resumed run is bit-identical to an uninterrupted one.
 struct CheckpointOptions {
   std::string dir;
   int every_slots = 0;
@@ -79,7 +77,7 @@ class Runner {
   /// Called once per (point, seed, policy) during the serial reduction.
   void set_observer(std::function<void(const TrialObservation&)> observer);
 
-  /// Enables the serial checkpointed execution path (empty dir disables).
+  /// Runs units one at a time with checkpoints (empty dir disables).
   void set_checkpoint(CheckpointOptions options);
 
   Report run() const;
@@ -87,16 +85,7 @@ class Runner {
   const ScenarioSpec& spec() const noexcept { return spec_; }
 
  private:
-  Report run_regret_checkpointed(const std::vector<unsigned>& seeds,
-                                 int base_horizon,
-                                 const std::vector<double>& points) const;
-  Report run_sweep_checkpointed(const std::vector<unsigned>& seeds,
-                                int base_horizon,
-                                const std::vector<double>& points,
-                                const std::vector<ResolvedPolicy>& resolved,
-                                const std::vector<std::string>& labels,
-                                bool any_offline, bool any_online,
-                                const sim::FaultPlan& file_plan) const;
+  class Execution;  // one run() call (runner.cpp)
 
   ScenarioSpec spec_;
   const PolicyRegistry* registry_;

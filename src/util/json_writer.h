@@ -1,5 +1,5 @@
 // Streaming JSON emission shared by every snapshot writer in the tree
-// (BENCH_parallel.json, BENCH_resilience.json, exp::Report snapshots).
+// (BENCH_resilience.json, exp::Report snapshots).
 //
 // The hand-rolled per-bench writers each re-invented string quoting and
 // number formatting, and none escaped strings at all — a policy label with

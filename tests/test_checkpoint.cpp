@@ -6,14 +6,21 @@
 // or its policy, plus byte-stable serialization of SimSnapshot itself,
 // the CheckpointStore generation ledger (atomic writes, newest-first
 // listing, prune-to-two retention), and the corrupted-newest-generation
-// fallback the resume ladder performs.
+// fallback the resume ladder performs. The exp::Runner cases run a small
+// sweep and a small regret scenario pooled and checkpointed, kill
+// checkpointed runs with SIGKILL at unit boundaries and inside
+// simulations, resume them, and feed the resume ladder CRC-valid
+// generations that do not fit the run.
 //
 // Equality is EXPECT_EQ on doubles throughout: the checkpoint contract is
 // bit-identity, not tolerance-equality.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,6 +28,8 @@
 
 #include "exp/instance.h"
 #include "exp/registry.h"
+#include "exp/runner.h"
+#include "obs/telemetry.h"
 #include "online_fixtures.h"
 #include "sim/checkpoint.h"
 #include "sim/dynamic_rr.h"
@@ -392,6 +401,370 @@ TEST(CheckpointCrashInjection, DisarmedPointsAreInert) {
   crash_point(150, true);
   unit_crash_point(1000);
   SUCCEED();
+}
+
+// ---- exp::Runner: pooled and checkpointed runs, kill and resume ------
+
+constexpr int kEverySlots = 25;  // mid-simulation generation interval
+
+/// One offline policy, DynamicRR and online Greedy under chaos, 2 points
+/// x 2 seeds: every online unit runs a reference and a faulted leg.
+exp::ScenarioSpec small_sweep() {
+  exp::ScenarioSpec spec;
+  spec.name = "ckpt_sweep";
+  spec.axis = exp::SweepAxis::kRequests;
+  spec.points = {30, 45};
+  spec.seeds = 2;
+  spec.horizon = 100;
+  spec.chaos_intensity = 0.5;
+  spec.policies = {{"offline:Greedy", "Greedy offline"},
+                   {"DynamicRR", ""},
+                   {"online:Greedy", "Greedy online"}};
+  spec.metrics = {"reward", "latency", "drops", "retention"};
+  return spec;
+}
+
+/// Theorem 3's protocol at 2 kappa points x 2 seeds: 6 and 8 tasks.
+exp::ScenarioSpec small_regret() {
+  exp::ScenarioSpec spec;
+  spec.name = "ckpt_regret";
+  spec.kind = exp::ScenarioKind::kRegret;
+  spec.axis = exp::SweepAxis::kKappa;
+  spec.points = {2, 3};
+  spec.seeds = 2;
+  spec.horizon = 100;
+  spec.base.num_requests = 40;
+  return spec;
+}
+
+/// What a run hands out: its Report's bytes, each observation with every
+/// metric but the wall-clock runtime_ms, and the obs counters (work
+/// counts such as exp.trials and sim.slots, which a resume must neither
+/// lose nor count twice).
+struct RunTrace {
+  std::vector<std::uint8_t> report;
+  std::vector<std::string> observations;
+  int faulted = 0;  // observations whose run saw a fault epoch
+  std::map<std::string, double> counters;
+};
+
+/// Runs `spec` pooled, or checkpointed into `dir` when it is non-empty.
+RunTrace run_traced(const exp::ScenarioSpec& spec, const std::string& dir = "",
+                    bool resume = false) {
+  obs::registry().reset();
+  exp::Runner runner(spec);
+  if (!dir.empty()) runner.set_checkpoint({dir, kEverySlots, resume});
+  RunTrace trace;
+  runner.set_observer([&](const exp::TrialObservation& o) {
+    std::string line = std::to_string(o.point_index) + "/" +
+                       std::to_string(o.seed) + "/" + *o.policy;
+    for (const auto& [name, value] : *o.metrics) {
+      if (name == "runtime_ms") continue;
+      char field[96];
+      std::snprintf(field, sizeof field, " %s=%a", name.c_str(), value);
+      line += field;
+    }
+    const auto epochs = o.metrics->find("fault_epochs");
+    if (epochs != o.metrics->end() && epochs->second > 0) ++trace.faulted;
+    trace.observations.push_back(line);
+  });
+  util::SnapshotWriter w;
+  runner.run().save(w);
+  trace.report = w.payload();
+  for (const obs::CounterSnapshot& c : obs::registry().snapshot().counters) {
+    trace.counters[c.name] = c.value;
+  }
+  return trace;
+}
+
+/// An empty generation ledger named `name` under TempDir().
+std::string fresh_ledger(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  CheckpointStore store(dir);
+  wipe_generations(store);
+  return dir;
+}
+
+TEST(RunnerCheckpoint, SweepCheckpointedMatchesPooled) {
+  const exp::ScenarioSpec spec = small_sweep();
+  const RunTrace pooled = run_traced(spec);
+  const RunTrace serial = run_traced(spec, fresh_ledger("runner_sweep"));
+  ASSERT_EQ(pooled.observations.size(), 2u * 2u * 3u);
+  EXPECT_GT(pooled.faulted, 0);  // the faulted leg ran
+  EXPECT_EQ(pooled.report, serial.report);
+  EXPECT_EQ(pooled.observations, serial.observations);
+  EXPECT_EQ(pooled.counters, serial.counters);
+}
+
+TEST(RunnerCheckpoint, RegretCheckpointedMatchesPooled) {
+  const exp::ScenarioSpec spec = small_regret();
+  const RunTrace pooled = run_traced(spec);
+  const RunTrace serial = run_traced(spec, fresh_ledger("runner_regret"));
+  EXPECT_TRUE(pooled.observations.empty());  // sweep units only
+  EXPECT_TRUE(serial.observations.empty());
+  EXPECT_EQ(pooled.report, serial.report);
+  EXPECT_EQ(pooled.counters, serial.counters);
+}
+
+/// Runs `spec` checkpointed into `dir` after `arm` set a crash, starting
+/// afresh or resuming; an armed crash kills the process with SIGKILL.
+void run_until_killed(const exp::ScenarioSpec& spec, const std::string& dir,
+                      bool resume, const std::function<void()>& arm) {
+  CheckpointStore store(dir);
+  if (!resume) wipe_generations(store);
+  obs::registry().reset();
+  exp::Runner runner(spec);
+  runner.set_checkpoint({dir, kEverySlots, resume});
+  arm();
+  (void)runner.run();
+}
+
+// A resumed run must reproduce the uninterrupted Report and counters.
+void expect_resumes_uninterrupted(const exp::ScenarioSpec& spec,
+                                  const std::string& dir) {
+  const RunTrace resumed = run_traced(spec, dir, true);
+  const RunTrace pooled = run_traced(spec);
+  EXPECT_EQ(resumed.report, pooled.report);
+  EXPECT_EQ(resumed.counters, pooled.counters);
+}
+
+/// A runner generation decoded section by section (layout: DESIGN.md
+/// §14), so a test can re-frame it with one field changed and a valid
+/// CRC.
+struct RunnerGeneration {
+  static constexpr std::uint32_t kMagic = 0x4b43524dU;  // "MRCK"
+  static constexpr std::uint32_t kVersion = 4;
+  std::string name;
+  std::uint8_t kind = 0;
+  std::int32_t seeds = 0;
+  std::int32_t horizon = 0;
+  std::int32_t lp_budget = 0;
+  std::vector<double> points;
+  std::vector<std::string> metrics;
+  std::vector<std::string> policies;
+  exp::Report report;
+  std::uint64_t point = 0;
+  std::uint64_t unit = 0;
+  std::uint64_t policy = 0;
+  std::uint8_t stage = 0;
+  std::vector<double> rewards;
+  std::optional<OnlineMetrics> ref;
+  std::optional<SimSnapshot> snap;
+  obs::MetricsSnapshot registry;
+
+  explicit RunnerGeneration(const std::vector<std::uint8_t>& framed) {
+    util::SnapshotReader r(framed, kMagic, kVersion);
+    const auto strings = [&] {
+      return r.vec<std::string>([&] { return r.str(); });
+    };
+    const auto doubles = [&] { return r.vec<double>([&] { return r.f64(); }); };
+    name = r.str();
+    kind = r.u8();
+    seeds = r.i32();
+    horizon = r.i32();
+    lp_budget = r.i32();
+    points = doubles();
+    metrics = strings();
+    policies = strings();
+    report.load(r);
+    point = r.u64();
+    unit = r.u64();
+    policy = r.u64();
+    stage = r.u8();
+    rewards = doubles();
+    if (r.boolean()) ref = load_online_metrics(r);
+    if (r.boolean()) snap = load_sim_snapshot(r);
+    registry = obs::load_metrics_snapshot(r);
+    r.expect_end();
+  }
+
+  std::vector<std::uint8_t> framed() const {
+    util::SnapshotWriter w;
+    const auto strings = [&](const std::vector<std::string>& v) {
+      w.vec(v, [&](const std::string& s) { w.str(s); });
+    };
+    const auto doubles = [&](const std::vector<double>& v) {
+      w.vec(v, [&](double x) { w.f64(x); });
+    };
+    w.str(name);
+    w.u8(kind);
+    w.i32(seeds);
+    w.i32(horizon);
+    w.i32(lp_budget);
+    doubles(points);
+    strings(metrics);
+    strings(policies);
+    report.save(w);
+    w.u64(point);
+    w.u64(unit);
+    w.u64(policy);
+    w.u8(stage);
+    doubles(rewards);
+    w.boolean(ref.has_value());
+    if (ref) save_online_metrics(w, *ref);
+    w.boolean(snap.has_value());
+    if (snap) save_sim_snapshot(w, *snap);
+    obs::save_metrics_snapshot(registry, w);
+    return w.finish(kMagic, kVersion);
+  }
+};
+
+/// One way to make a CRC-valid generation that does not fit its run.
+struct Misfit {
+  const char* what;
+  std::function<void(RunnerGeneration&)> apply;
+};
+
+/// Kills `spec`'s checkpointed run after `units` units, then, for each
+/// misfit, rebuilds the two-generation ladder with the misfit applied to
+/// the newest one and resumes: the ladder must reject it, fall back to
+/// the previous generation and reproduce the uninterrupted run.
+void expect_misfits_fall_back(const exp::ScenarioSpec& spec,
+                              const std::string& name, int units,
+                              const std::vector<Misfit>& misfits) {
+  const std::string dir = ::testing::TempDir() + name;
+  EXPECT_EXIT(run_until_killed(spec, dir, false,
+                               [&] { arm_crash_after_units(units); }),
+              ::testing::KilledBySignal(SIGKILL), "injected crash");
+  const std::vector<std::string> ladder = CheckpointStore(dir).generations();
+  ASSERT_EQ(ladder.size(), 2u);
+  const std::vector<std::uint8_t> newest =
+      CheckpointStore::read_file(ladder[0]);
+  const std::vector<std::uint8_t> previous =
+      CheckpointStore::read_file(ladder[1]);
+  ASSERT_EQ(RunnerGeneration(newest).framed(), newest);  // codec is exact
+  const RunTrace pooled = run_traced(spec);
+  for (const Misfit& misfit : misfits) {
+    RunnerGeneration bad(newest);
+    misfit.apply(bad);
+    CheckpointStore store(dir);
+    wipe_generations(store);
+    util::atomic_write_file(ladder[1], previous);
+    util::atomic_write_file(ladder[0], bad.framed());
+    ::testing::internal::CaptureStderr();
+    const RunTrace resumed = run_traced(spec, dir, true);
+    const std::string diagnostics = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(diagnostics.find(ladder[0] + " rejected at byte"),
+              std::string::npos)
+        << misfit.what << ": " << diagnostics;
+    EXPECT_NE(diagnostics.find("resuming from " + ladder[1]),
+              std::string::npos)
+        << misfit.what << ": " << diagnostics;
+    EXPECT_EQ(resumed.report, pooled.report) << misfit.what;
+    EXPECT_EQ(resumed.counters, pooled.counters) << misfit.what;
+  }
+}
+
+/// A report with the run's header and one point of value `point`.
+exp::Report one_point_report(const RunnerGeneration& g, double point,
+                             std::vector<std::string> policies) {
+  exp::Report report(g.report.scenario_name(), g.report.axis_label(),
+                     g.report.metrics(), std::move(policies));
+  report.start_point(point, std::to_string(static_cast<int>(point)));
+  return report;
+}
+
+TEST(RunnerCheckpointDeathTest, RegretResumeRejectsGenerationsThatDoNotFit) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Killed after 3 tasks of point 0: the newest generation's cursor is
+  // (point 0, task 3) with 3 task rewards.
+  expect_misfits_fall_back(
+      small_regret(), "runner_regret_misfits", 3,
+      {{"rewards emptied", [](auto& g) { g.rewards.clear(); }},
+       {"task past the point", [](auto& g) { g.unit = 1000; }},
+       {"point past the run", [](auto& g) { g.point = 3; }},
+       {"policy on a regret task", [](auto& g) { g.policy = 1; }},
+       {"stage out of range", [](auto& g) { g.stage = 3; }},
+       {"stage without its snapshot", [](auto& g) { g.stage = 1; }},
+       {"cursor before the report's point",
+        [](auto& g) {
+          g.unit = 0;
+          g.rewards.clear();
+        }},
+       {"report policies",
+        [](auto& g) {
+          g.report = one_point_report(g, 2, {"best fixed", "learned"});
+        }},
+       {"report points",
+        [](auto& g) {
+          g.report = one_point_report(g, 9, g.report.policies());
+        }}});
+}
+
+TEST(RunnerCheckpointDeathTest, SweepResumeRejectsGenerationsThatDoNotFit) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Killed after 2 units: the newest generation's cursor is (point 0,
+  // seed 0, policy 2); the previous one is inside DynamicRR's run.
+  expect_misfits_fall_back(
+      small_sweep(), "runner_sweep_misfits", 2,
+      {{"seed out of range", [](auto& g) { g.unit = 2; }},
+       {"policy out of range", [](auto& g) { g.policy = 3; }},
+       {"task rewards on a sweep", [](auto& g) { g.rewards = {1.0}; }},
+       {"reference outside the faulted leg",
+        [](auto& g) { g.ref = OnlineMetrics{}; }},
+       {"report metrics",
+        [](auto& g) {
+          exp::Report report(g.report.scenario_name(), g.report.axis_label(),
+                             {"reward"}, g.report.policies());
+          report.start_point(30, "30");
+          g.report = report;
+        }}});
+}
+
+TEST(RunnerCheckpointDeathTest, SweepKilledAtUnitBoundaryResumes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const exp::ScenarioSpec spec = small_sweep();
+  const std::string dir = ::testing::TempDir() + "runner_sweep_units";
+  EXPECT_EXIT(
+      run_until_killed(spec, dir, false, [] { arm_crash_after_units(5); }),
+      ::testing::KilledBySignal(SIGKILL), "injected crash");
+  expect_resumes_uninterrupted(spec, dir);
+}
+
+TEST(RunnerCheckpointDeathTest, SweepKilledInsideBothLegsResumes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const exp::ScenarioSpec spec = small_sweep();
+  const std::string dir = ::testing::TempDir() + "runner_sweep_legs";
+  // Slot 60 of DynamicRR's reference leg: the newest generation is that
+  // leg at slot 50 (stage 1).
+  EXPECT_EXIT(
+      run_until_killed(spec, dir, false, [] { arm_crash_at_slot(60); }),
+      ::testing::KilledBySignal(SIGKILL), "injected crash");
+  // The resumed reference leg starts at slot 50 and never sees slot 30;
+  // the faulted leg does: the newest generation is stage 2 at slot 25.
+  EXPECT_EXIT(
+      run_until_killed(spec, dir, true, [] { arm_crash_at_slot(30); }),
+      ::testing::KilledBySignal(SIGKILL), "injected crash");
+  const RunnerGeneration newest(
+      CheckpointStore::read_file(CheckpointStore(dir).generations()[0]));
+  EXPECT_EQ(newest.stage, 2);
+  EXPECT_TRUE(newest.ref.has_value());
+  expect_resumes_uninterrupted(spec, dir);
+}
+
+TEST(RunnerCheckpointDeathTest, RegretKilledAtUnitBoundaryResumes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const exp::ScenarioSpec spec = small_regret();
+  const std::string dir = ::testing::TempDir() + "runner_regret_units";
+  // Point 0 has 6 tasks, so the 7th unit is point 1's first task and the
+  // generation holds point 0's reduction.
+  EXPECT_EXIT(
+      run_until_killed(spec, dir, false, [] { arm_crash_after_units(7); }),
+      ::testing::KilledBySignal(SIGKILL), "injected crash");
+  expect_resumes_uninterrupted(spec, dir);
+}
+
+TEST(RunnerCheckpointDeathTest, RegretKilledInsideATaskResumes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const exp::ScenarioSpec spec = small_regret();
+  const std::string dir = ::testing::TempDir() + "runner_regret_slot";
+  EXPECT_EXIT(
+      run_until_killed(spec, dir, false, [] { arm_crash_at_slot(60); }),
+      ::testing::KilledBySignal(SIGKILL), "injected crash");
+  const RunnerGeneration newest(
+      CheckpointStore::read_file(CheckpointStore(dir).generations()[0]));
+  EXPECT_EQ(newest.stage, 1);
+  expect_resumes_uninterrupted(spec, dir);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "exp/instance.h"
 #include "sim/dynamic_rr.h"
 #include "sim/online_sim.h"
 #include "util/parallel.h"
@@ -51,7 +51,7 @@ TEST(ThreadPool, ParallelMapStoresResultsByIndex) {
 }
 
 TEST(ThreadPool, SeededTrialsMatchSerialElementByElement) {
-  // The determinism contract of bench_util::sweep_seeds: each trial derives
+  // The determinism contract of exp::sweep_seeds: each trial derives
   // all randomness from its index, so the pooled map equals the serial loop
   // exactly (same doubles).
   auto trial = [](std::size_t i) {
@@ -108,10 +108,10 @@ TEST(DefaultPool, FreeFunctionsUseTheSharedPool) {
 // exact same rewards. This is the end-to-end version of the determinism
 // contract — it exercises the full simulator, LP warm starts included.
 double fig4_mini_trial(unsigned seed) {
-  benchx::InstanceConfig config;
+  exp::InstanceConfig config;
   config.num_requests = 40;
   config.horizon_slots = 60;
-  const auto inst = benchx::make_instance(seed, config);
+  const auto inst = exp::make_instance(seed, config);
   sim::OnlineParams params;
   params.horizon_slots = 60;
   sim::DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{},
@@ -122,7 +122,7 @@ double fig4_mini_trial(unsigned seed) {
 }
 
 TEST(GoldenSweep, Fig4MiniParallelMatchesSerialBitForBit) {
-  const auto seeds = benchx::bench_seeds(4);
+  const auto seeds = exp::bench_seeds(4);
   std::vector<double> serial;
   for (unsigned seed : seeds) serial.push_back(fig4_mini_trial(seed));
 

@@ -3,6 +3,7 @@
 // runner's sweep to the hand-written per-seed loop the figure benches used
 // before the refactor.
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -14,8 +15,11 @@
 #include "exp/registry.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
+#include "obs/catalog.h"
+#include "obs/telemetry.h"
 #include "sim/online_sim.h"
 #include "util/json_writer.h"
+#include "util/snapshot.h"
 #include "util/stats.h"
 
 namespace {
@@ -318,6 +322,120 @@ TEST(Runner, RejectsBadSpecs) {
   spec.metrics = {"reward"};
   spec.policies = {{"DynamicRR", ""}};  // online with horizon 0
   EXPECT_THROW((void)exp::Runner(spec).run(), std::invalid_argument);
+}
+
+double exp_trials() {
+  obs::metrics();  // registers exp.trials
+  return obs::registry().snapshot().find_counter("exp.trials")->value;
+}
+
+/// Runs `spec`, expecting std::invalid_argument mentioning `expected`
+/// before any trial ran.
+void expect_rejected_up_front(const exp::ScenarioSpec& spec,
+                              const std::string& expected) {
+  exp::Runner runner(spec);
+  int observed = 0;
+  runner.set_observer([&](const exp::TrialObservation&) { ++observed; });
+  const double trials = exp_trials();
+  try {
+    (void)runner.run();
+    ADD_FAILURE() << "ran instead of rejecting " << expected;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(observed, 0) << expected;
+  EXPECT_EQ(exp_trials(), trials) << expected;
+}
+
+TEST(Runner, RejectsNonIntegerPointsBeforeAnyTrial) {
+  exp::ScenarioSpec spec;
+  spec.name = "points";
+  spec.axis = exp::SweepAxis::kRequests;
+  spec.seeds = 1;
+  spec.horizon = 40;
+  spec.policies = {{"online:Greedy", ""}};
+  spec.metrics = {"reward"};
+  // Each bad point follows a good one, which must not run either.
+  spec.points = {20, 150.7};
+  expect_rejected_up_front(spec, "point 150.7");
+  spec.points = {20, 3e9};
+  expect_rejected_up_front(spec, "point 3e+09");
+  spec.points = {20, std::nan("")};
+  expect_rejected_up_front(spec, "point nan");
+  spec.axis = exp::SweepAxis::kKappa;
+  spec.points = {2, 2.5};
+  expect_rejected_up_front(spec, "point 2.5");
+  // The horizon axis scales |R| by requests_per_slot: 4e9 is past int.
+  spec.axis = exp::SweepAxis::kHorizon;
+  spec.requests_per_slot = 1e8;
+  spec.points = {40};
+  expect_rejected_up_front(spec, "point 40");
+}
+
+TEST(Runner, RegretChecksEveryPointBeforeAnyTask) {
+  exp::ScenarioSpec spec;
+  spec.name = "regret_points";
+  spec.kind = exp::ScenarioKind::kRegret;
+  spec.axis = exp::SweepAxis::kHorizon;
+  spec.seeds = 1;
+  spec.requests_per_slot = 0.5;
+  spec.points = {60, -5};
+  expect_rejected_up_front(spec, "horizon > 0");
+  spec.axis = exp::SweepAxis::kKappa;
+  spec.horizon = 60;
+  spec.points = {2, 2.5};
+  expect_rejected_up_front(spec, "point 2.5");
+}
+
+TEST(Runner, ChaosLeavesOfflineOnlySweepsAlone) {
+  // Chaos plans fault online runs only; a sweep without an online policy
+  // builds no online instance to draw one on.
+  exp::ScenarioSpec spec;
+  spec.name = "offline_chaos";
+  spec.axis = exp::SweepAxis::kRequests;
+  spec.points = {20};
+  spec.seeds = 1;
+  spec.policies = {{"offline:Greedy", ""}};
+  spec.metrics = {"reward", "admitted"};
+  const exp::Report calm = exp::Runner(spec).run();
+  spec.chaos_intensity = 0.5;
+  const exp::Report chaos = exp::Runner(spec).run();
+  EXPECT_EQ(chaos.mean("reward", "Greedy", 0),
+            calm.mean("reward", "Greedy", 0));
+  EXPECT_EQ(chaos.mean("admitted", "Greedy", 0),
+            calm.mean("admitted", "Greedy", 0));
+}
+
+TEST(Report, LoadRejectsSeriesThatDoNotMatchItsPoints) {
+  // A checkpointed report whose series disagree with its points would
+  // index past them on the next add or table row.
+  const auto payload = [](std::size_t series_points, std::size_t points) {
+    const auto strings = [](util::SnapshotWriter& w,
+                            const std::vector<std::string>& v) {
+      w.vec(v, [&](const std::string& x) { w.str(x); });
+    };
+    util::SnapshotWriter w;
+    w.str("shape");
+    w.str("|R|");
+    strings(w, {"reward"});
+    strings(w, {"Appro"});
+    w.u64(1);
+    w.str("reward");
+    exp::SeriesCollector series({"Appro"});
+    for (std::size_t p = 0; p < series_points; ++p) series.start_point();
+    series.save(w);
+    w.vec(std::vector<double>(points, 10.0), [&](double v) { w.f64(v); });
+    strings(w, std::vector<std::string>(points, "10"));
+    return w.payload();
+  };
+  exp::Report report;
+  const std::vector<std::uint8_t> fits = payload(2, 2);
+  util::SnapshotReader good = util::SnapshotReader::unframed(fits);
+  EXPECT_NO_THROW(report.load(good));
+  const std::vector<std::uint8_t> misfits = payload(3, 2);
+  util::SnapshotReader bad = util::SnapshotReader::unframed(misfits);
+  EXPECT_THROW(report.load(bad), util::SnapshotParseError);
 }
 
 // ---- json writer ----------------------------------------------------------

@@ -531,6 +531,32 @@ TEST(OnlinePolicies, DynamicRrBeatsLocalBaselinesUnderLoad) {
   EXPECT_GT(dynamic_total, 1.1 * ocorp_total);
 }
 
+TEST(OnlineSimulator, ScaleRunConservesRequestsAndTimesEverySlot) {
+  // 200 stations and 2x10^4 requests packed into the first 120 of 600
+  // slots, so most of the run drains a large live set: every arrival must
+  // end completed, dropped or unfinished, and every slot must be timed.
+  exp::InstanceConfig config;
+  config.num_stations = 200;
+  config.num_requests = 20000;
+  config.horizon_slots = 120;  // the arrival window
+  const exp::Instance inst = exp::make_instance(1u, config);
+  OnlineParams params;
+  params.horizon_slots = 600;
+  DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{}, DynamicRrParams{},
+                         util::Rng(1));
+  OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
+  obs::registry().reset();
+  const OnlineMetrics m = sim.run(policy);
+  EXPECT_EQ(m.arrived, 20000);
+  EXPECT_EQ(m.completed + m.dropped + m.unfinished, m.arrived);
+#if MECAR_TELEMETRY_ENABLED
+  const obs::MetricsSnapshot snap = obs::registry().snapshot();
+  const obs::HistogramSnapshot* slots = snap.find_histogram("sim.slot_wall_ms");
+  ASSERT_NE(slots, nullptr);
+  EXPECT_EQ(slots->count, 600u);
+#endif
+}
+
 TEST(DynamicRr, ThresholdStaysOnGrid) {
   const OnlineSetup setup = make_setup(11, 150);
   DynamicRrPolicy policy(setup.topo, core::AlgorithmParams{},
