@@ -153,24 +153,6 @@ void Report::print_metric_table(std::ostream& os, const std::string& title,
   os << '\n';
 }
 
-void Report::print_policy_table(std::ostream& os, const std::string& title,
-                                const std::string& row_header,
-                                const std::vector<MetricColumn>& columns,
-                                std::size_t point) const {
-  std::vector<std::string> header{row_header};
-  for (const MetricColumn& column : columns) header.push_back(column.header);
-  util::Table table(header);
-  for (const std::string& policy : policies_) {
-    std::vector<std::string> row{policy};
-    for (const MetricColumn& column : columns) {
-      row.push_back(util::format_double(
-          collector(column.metric).mean_at(policy, point), column.precision));
-    }
-    table.add_row(std::move(row));
-  }
-  table.print(os, title);
-}
-
 void Report::save(util::SnapshotWriter& w) const {
   w.str(scenario_name_);
   w.str(axis_label_);

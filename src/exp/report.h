@@ -1,6 +1,6 @@
 // Uniform result container of the scenario engine: named (metric, policy)
 // series over sweep points, seed-averaged, with one table/CSV/JSON
-// emission path shared by every figure bench and `mecar_cli experiment`.
+// emission path: `mecar_cli experiment` prints every scenario through it.
 //
 // Subsumes the old bench_util SeriesCollector; the historical footgun —
 // add() before any start_point() dereferenced .back() on an empty vector
@@ -54,7 +54,7 @@ class SeriesCollector {
 
 /// Result of one scenario run: for every collected metric, a policy-keyed
 /// SeriesCollector over the sweep points, plus the axis/point labelling
-/// needed to render the exact tables the figure benches print.
+/// its metric tables print.
 class Report {
  public:
   Report() = default;
@@ -82,24 +82,11 @@ class Report {
   }
   std::size_t num_points() const noexcept { return points_.size(); }
 
-  /// Prints one metric as the classic figure table: header = axis label +
-  /// policy columns, one row per sweep point, `precision` decimals —
-  /// exactly the layout the hand-written benches emitted.
+  /// Prints one metric as a figure table: header = axis label + policy
+  /// columns, one row per sweep point, `precision` decimals, then the same
+  /// rows as a CSV block.
   void print_metric_table(std::ostream& os, const std::string& title,
                           const std::string& metric, int precision) const;
-
-  /// Transposed layout for axis-less scenarios: one row per policy, one
-  /// column per requested (metric, header label, precision) triple, values
-  /// taken at sweep point `point`.
-  struct MetricColumn {
-    std::string metric;
-    std::string header;
-    int precision = 2;
-  };
-  void print_policy_table(std::ostream& os, const std::string& title,
-                          const std::string& row_header,
-                          const std::vector<MetricColumn>& columns,
-                          std::size_t point = 0) const;
 
   /// Writes the uniform JSON snapshot: scenario name, axis, points, then
   /// per-policy per-metric mean series.

@@ -106,39 +106,27 @@ PointSetup make_point_setup(const ScenarioSpec& spec, double point,
   return setup;
 }
 
-/// Everything one regret point fixes for its tasks. Only the horizon axis
-/// changes the instance; the kappa axis changes the learned run's grid.
+/// Everything one regret point fixes for its tasks: the sweep point's
+/// setup (its online instance and the learned run's knobs) plus the fixed
+/// arms' thresholds, the grid over the setup's threshold range.
 struct RegretPoint {
-  InstanceConfig config;
-  int horizon = 0;
-  sim::DynamicRrParams rr;   // the learned run's knobs
-  std::vector<double> arms;  // the fixed-arm runs' thresholds
+  PointSetup setup;
+  std::vector<double> arms;
 };
 
 RegretPoint make_regret_point(const ScenarioSpec& spec, double point,
                               int base_horizon, int lp_budget_override,
                               const std::string& context) {
-  const auto integer = [&](const char* what, double value) {
-    return integer_at(point, what, value, context);
-  };
-  RegretPoint rp;
-  rp.horizon = spec.axis == SweepAxis::kHorizon ? integer("horizon", point)
-                                                : base_horizon;
-  if (rp.horizon <= 0) {
+  RegretPoint rp{make_point_setup(spec, point, base_horizon,
+                                  lp_budget_override, context),
+                 {}};
+  if (rp.setup.horizon <= 0) {
     throw std::invalid_argument(context +
                                 "regret scenarios need a horizon > 0");
   }
-  rp.config = spec.base;
-  rp.config.horizon_slots = rp.horizon;
-  if (spec.axis == SweepAxis::kHorizon && spec.requests_per_slot > 0.0) {
-    rp.config.num_requests =
-        integer("requests", std::trunc(point * spec.requests_per_slot));
-  }
-  rp.rr = spec.rr;
-  if (lp_budget_override > 0) rp.rr.lp_pivot_budget = lp_budget_override;
-  if (spec.axis == SweepAxis::kKappa) rp.rr.kappa = integer("kappa", point);
-  rp.arms = bandit::LipschitzGrid(spec.rr.threshold_min_mhz,
-                                  spec.rr.threshold_max_mhz, rp.rr.kappa)
+  const sim::DynamicRrParams& rr = rp.setup.rr;
+  rp.arms = bandit::LipschitzGrid(rr.threshold_min_mhz, rr.threshold_max_mhz,
+                                  rr.kappa)
                 .values();
   return rp;
 }
@@ -379,6 +367,13 @@ Runner::Execution::Execution(const Runner& runner)
 
   std::vector<std::string> labels;
   if (regret()) {
+    // Every regret task runs its instance fault-free and unmoved.
+    if (spec_.axis == SweepAxis::kChaosIntensity ||
+        spec_.chaos_intensity != 0.0 || !spec_.fault_plan_path.empty() ||
+        !spec_.mobility.empty()) {
+      throw std::invalid_argument(
+          context_ + "regret scenarios take no chaos, fault_plan or mobility");
+    }
     labels = {"best fixed", "DynamicRR"};
   } else {
     if (spec_.policies.empty()) {
@@ -560,10 +555,10 @@ double Runner::Execution::regret_task(std::size_t p, std::size_t task) {
   const unsigned seed = seeds_[task / per_seed];
   const std::size_t k = task % per_seed;
   count_trial(p, task);
-  const Instance inst = make_instance(seed, rp.config);
+  const Instance inst = make_instance(seed, rp.setup.online_config);
   sim::OnlineParams params;
-  params.horizon_slots = rp.horizon;
-  sim::DynamicRrParams dparams = rp.rr;
+  params.horizon_slots = rp.setup.horizon;
+  sim::DynamicRrParams dparams = rp.setup.rr;
   if (k < rp.arms.size()) {
     dparams.kappa = 1;
     dparams.threshold_min_mhz = rp.arms[k];

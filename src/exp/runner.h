@@ -21,7 +21,9 @@
 // kRegret scenarios ignore spec.policies/metrics and emit the fixed
 // series {"best fixed", "DynamicRR"} under metric "reward" (the Theorem 3
 // protocol: per seed, every arm of the kappa grid runs as a constant
-// policy and the hindsight best competes against the learned run).
+// policy and the hindsight best competes against the learned run). Their
+// points derive as a sweep's do; a regret spec with chaos, a fault plan or
+// mobility is rejected.
 #pragma once
 
 #include <functional>

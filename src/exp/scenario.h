@@ -3,9 +3,9 @@
 // topology + workload parameters, arrival process, fault injection
 // (scripted plan reference or chaos intensity), mobility, the sweep axis
 // and its points, the policies under comparison, seeds, horizon, and the
-// metrics to collect. exp::Runner executes any spec; the figure benches
-// are thin specs, and `mecar_cli experiment --spec=FILE` runs arbitrary
-// ones without compiling anything.
+// metrics to collect. exp::Runner executes any spec, and
+// `mecar_cli experiment --spec=FILE` runs one without compiling anything:
+// each of the paper's figures is a checked-in file under scenarios/.
 //
 // Specs round-trip through a line-oriented text format (mirroring the
 // fault-plan format, parsed with the hardened util::parse readers):
@@ -141,8 +141,8 @@ class ScenarioParseError : public std::invalid_argument {
 std::string axis_token(SweepAxis axis);
 /// The axis column header of the emitted tables ("|R|", "intensity", ...).
 std::string axis_label(SweepAxis axis);
-/// Formats one sweep-point value the way the figure benches label rows
-/// (integer axes via to_string, rates with 0 decimals, chaos with 2).
+/// Formats one sweep-point value as the tables label rows (integer axes
+/// via to_string, rates with 0 decimals, chaos with 2).
 std::string point_label(SweepAxis axis, double value);
 
 /// Parses the text format documented above. Throws ScenarioParseError on

@@ -1,6 +1,6 @@
 // Shared-memory parallel execution substrate.
 //
-// Every figure sweep in bench/ and the per-arm evaluation sweeps of the
+// Every scenario sweep and the per-arm evaluation sweeps of the
 // learning experiments are embarrassingly parallel: N independent trials,
 // each fully determined by its index (seed). `ThreadPool` runs such
 // workloads across cores while keeping the output bit-identical to the

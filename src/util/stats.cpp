@@ -153,26 +153,4 @@ double sum(std::span<const double> samples) noexcept {
   return total;
 }
 
-LinearFit fit_line(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("fit_line: need >= 2 paired samples");
-  }
-  const double n = static_cast<double>(xs.size());
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  if (std::abs(denom) < 1e-12) {
-    throw std::invalid_argument("fit_line: degenerate x values");
-  }
-  LinearFit fit;
-  fit.slope = (n * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / n;
-  return fit;
-}
-
 }  // namespace mecar::util

@@ -89,12 +89,4 @@ double mean(std::span<const double> samples) noexcept;
 /// Sum of a span.
 double sum(std::span<const double> samples) noexcept;
 
-/// Simple ordinary-least-squares fit y = a + b*x; returns {a, b}.
-/// Used by the regret bench to estimate growth exponents in log-log space.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-LinearFit fit_line(std::span<const double> xs, std::span<const double> ys);
-
 }  // namespace mecar::util

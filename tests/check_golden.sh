@@ -1,11 +1,14 @@
 #!/usr/bin/env sh
-# Bit-identity guard: every figure bench's default stdout must match the
-# reference captured under tests/golden/. The only tolerated difference is
-# Fig 3(c), which reports wall-clock solver runtimes; that block is
-# filtered on both sides. Re-baseline (rerun each bench into its golden)
-# only for intentional changes — e.g. the sparse-LU simplex engine lands
-# on different optimal vertices of degenerate slot LPs, which shifts the
-# randomized rounding downstream even though objectives are identical.
+# Bit-identity guard: each golden experiment's stdout must match the
+# reference captured under tests/golden/. The experiments are the
+# checked-in scenario files, run by `mecar_cli experiment`, plus the one
+# compiled driver (bench/ablations, whose A1-A6 blocks vary keys no sweep
+# axis covers). Wall-clock runtime_ms tables (Fig 3(c)) are filtered on
+# both sides, as in check_resume.sh. Re-baseline (rerun each experiment
+# into its golden, filtered) only for intentional changes — e.g. the
+# sparse-LU simplex engine lands on different optimal vertices of
+# degenerate slot LPs, which shifts the randomized rounding downstream
+# even though objectives are identical.
 #
 #   tests/check_golden.sh [BUILD_DIR]   (default: build)
 set -u
@@ -13,27 +16,28 @@ build=${1:-build}
 root=$(cd "$(dirname "$0")/.." && pwd)
 fail=0
 
-check() {
+filter() {
+  awk '/: runtime_ms/{skip=1; next} skip && /^$/{skip=0; next} !skip'
+}
+
+# compare NAME COMMAND...: COMMAND's filtered stdout against the golden.
+compare() {
   name=$1
-  filter=${2:-}
-  if [ ! -x "$build/bench/$name" ]; then
-    echo "MISSING BINARY: $build/bench/$name is absent or not executable" >&2
-    echo "  (build it first: cmake --build $build --target $name)" >&2
+  shift
+  if [ ! -x "$1" ]; then
+    echo "MISSING BINARY: $1 is absent or not executable" >&2
+    echo "  (build it first: cmake --build $build --target $(basename "$1"))" >&2
     fail=1
     return
   fi
-  if [ ! -f "$root/tests/golden/$name.txt" ]; then
-    echo "MISSING GOLDEN: $root/tests/golden/$name.txt does not exist" >&2
-    echo "  (capture it from a known-good build: $build/bench/$name > tests/golden/$name.txt)" >&2
+  golden=$root/tests/golden/$name.txt
+  if [ ! -f "$golden" ]; then
+    echo "MISSING GOLDEN: $golden does not exist" >&2
     fail=1
     return
   fi
-  out=$("$build/bench/$name" 2>/dev/null)
-  ref=$(cat "$root/tests/golden/$name.txt")
-  if [ -n "$filter" ]; then
-    out=$(printf '%s\n' "$out" | awk "$filter")
-    ref=$(printf '%s\n' "$ref" | awk "$filter")
-  fi
+  out=$("$@" 2>/dev/null | filter)
+  ref=$(filter <"$golden")
   if [ "$out" = "$ref" ]; then
     echo "ok: $name"
   else
@@ -47,12 +51,10 @@ check() {
   fi
 }
 
-check fig3_offline '/Fig 3\(c\)/{skip=1} /^headline/{skip=0} !skip'
-check fig4_online
-check fig5_stations
-check fig6_rate
-check regret_theorem3
-check ablations
-check quality_metrics
-check resilience
+for name in fig3_offline fig4_online fig5_stations fig6_rate \
+    quality_metrics regret_growth regret_kappa resilience; do
+  compare "$name" "$build/tools/mecar_cli" experiment \
+    --spec="$root/scenarios/$name.scenario"
+done
+compare ablations "$build/bench/ablations"
 exit $fail

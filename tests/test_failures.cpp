@@ -3,6 +3,7 @@
 // service degrades gracefully rather than corrupting state.
 #include <gtest/gtest.h>
 
+#include "exp/instance.h"
 #include "mec/workload.h"
 #include "sim/dynamic_rr.h"
 #include "sim/online_baselines.h"
@@ -294,6 +295,40 @@ TEST(GracefulDegradation, LpIterationLimitFallsBackToGreedy) {
   // Service continues: the failover path still places requests.
   EXPECT_GT(m.completed, 0);
   EXPECT_EQ(m.completed + m.dropped + m.unfinished, m.arrived);
+}
+
+TEST(GracefulDegradation, SolverFaultEpochsKeepDecisionsFlowing) {
+  // A pivot-budget squeeze over slots 20-70 and a factorization jam over
+  // slots 80-130: the degradation ladder must keep placing requests and
+  // attribute its slots, the squeeze must yield usable anytime iterates,
+  // and the recovery ladder must contain the jam without a numerical
+  // error escaping it.
+  exp::InstanceConfig config;
+  config.num_requests = 60;
+  config.horizon_slots = 150;
+  const exp::Instance inst = exp::make_instance(5u, config);
+  OnlineParams params;
+  params.horizon_slots = 150;
+  params.collect_detail = true;
+  params.faults.solver_budgets.push_back({20, 70, 4});
+  params.faults.solver_jams.push_back({80, 130});
+  DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{},
+                         DynamicRrParams{}, util::Rng(99u));
+  OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
+  const OnlineMetrics m = sim.run(policy);
+
+  const DegradationStats& deg = policy.degradation_stats();
+  EXPECT_FALSE(m.service_ratios.empty())
+      << "no request was ever placed under solver faults";
+  EXPECT_GT(deg.slots_warm_lp + deg.slots_cold_lp + deg.slots_dense_lp +
+                deg.slots_greedy + deg.slots_carry,
+            0)
+      << "the degradation ladder attributed no slots";
+  EXPECT_GT(deg.lp_deadline_used, 0)
+      << "the budget squeeze never produced a usable anytime iterate";
+  EXPECT_GT(deg.lp_recovery_actions, 0)
+      << "the solver jam never engaged the recovery ladder";
+  EXPECT_EQ(deg.lp_numerical_errors, 0);
 }
 
 TEST(FailureInjection, OutageReducesButDoesNotZeroReward) {

@@ -1,7 +1,7 @@
 // Scenario engine: text-format round-trip, hardened parse errors, policy
-// registry lookups, report collection, and a golden check pinning the
-// runner's sweep to the hand-written per-seed loop the figure benches used
-// before the refactor.
+// registry lookups, report collection, the runner's up-front spec checks,
+// regret point derivation, chaos-sweep resilience accounting, and a golden
+// check pinning the runner's sweep to a hand-written per-seed loop.
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -386,6 +386,111 @@ TEST(Runner, RegretChecksEveryPointBeforeAnyTask) {
   spec.horizon = 60;
   spec.points = {2, 2.5};
   expect_rejected_up_front(spec, "point 2.5");
+}
+
+TEST(Runner, RegretRequestsAxisChangesTheInstance) {
+  // Each point of a regret sweep over |R| is the regret run of that |R|
+  // alone, not of the base instance's.
+  exp::ScenarioSpec spec;
+  spec.name = "regret_requests";
+  spec.kind = exp::ScenarioKind::kRegret;
+  spec.axis = exp::SweepAxis::kRequests;
+  spec.points = {20, 60};
+  spec.seeds = 1;
+  spec.horizon = 300;
+  spec.rr.kappa = 2;
+  const exp::Report sweep = exp::Runner(spec).run();
+  for (std::size_t p = 0; p < spec.points.size(); ++p) {
+    exp::ScenarioSpec alone = spec;
+    alone.axis = exp::SweepAxis::kNone;
+    alone.points.clear();
+    alone.base.num_requests = static_cast<int>(spec.points[p]);
+    const exp::Report report = exp::Runner(alone).run();
+    for (const char* series : {"best fixed", "DynamicRR"}) {
+      EXPECT_EQ(sweep.mean("reward", series, p),
+                report.mean("reward", series, 0))
+          << series << " at |R| = " << spec.points[p];
+    }
+  }
+  EXPECT_LT(sweep.mean("reward", "DynamicRR", 0),
+            sweep.mean("reward", "DynamicRR", 1));
+}
+
+TEST(Runner, RegretRejectsFaultsAndMobilityBeforeAnyTask) {
+  // Regret tasks run fault-free and unmoved: a chaos axis, a chaos
+  // intensity, a fault plan or mobility would be silently ignored.
+  exp::ScenarioSpec base;
+  base.name = "regret_faults";
+  base.kind = exp::ScenarioKind::kRegret;
+  base.seeds = 1;
+  base.horizon = 60;
+  base.base.num_requests = 20;
+  const std::string expected = "no chaos, fault_plan or mobility";
+
+  exp::ScenarioSpec spec = base;
+  spec.axis = exp::SweepAxis::kChaosIntensity;
+  spec.points = {0, 1};
+  expect_rejected_up_front(spec, expected);
+  spec = base;
+  spec.chaos_intensity = 0.5;
+  expect_rejected_up_front(spec, expected);
+  spec = base;
+  spec.fault_plan_path = "never_opened.plan";
+  expect_rejected_up_front(spec, expected);
+  spec = base;
+  spec.mobility = {{3, 30, 1}};
+  expect_rejected_up_front(spec, expected);
+}
+
+TEST(Runner, ChaosSweepKeepsResilienceAccounting) {
+  // Every trial of a reduced chaos sweep must account for each request,
+  // drop and displacement exactly once, and intensity 0 must reproduce
+  // the fault-free reference run bit for bit.
+  exp::ScenarioSpec spec;
+  spec.name = "resilience_accounting";
+  spec.axis = exp::SweepAxis::kChaosIntensity;
+  spec.points = {0.0, 0.75};
+  spec.seeds = 2;
+  spec.horizon = 150;
+  spec.base.num_requests = 60;
+  spec.policies = {{"DynamicRR", "DynamicRR"},
+                   {"online:Greedy", "Greedy"},
+                   {"online:OCORP", "OCORP"},
+                   {"online:HeuKKT", "HeuKKT"}};
+  spec.metrics = {"reward"};
+  exp::Runner runner(spec);
+  int observed = 0;
+  double displaced_under_chaos = 0.0;
+  runner.set_observer([&](const exp::TrialObservation& o) {
+    ++observed;
+    const std::map<std::string, double>& m = *o.metrics;
+    SCOPED_TRACE(*o.policy + ", seed " + std::to_string(o.seed) +
+                 ", intensity " + std::to_string(o.point_value));
+    EXPECT_EQ(m.at("completed") + m.at("drops") + m.at("unfinished"),
+              m.at("arrived"));
+    EXPECT_EQ(m.at("dropped_starvation") + m.at("dropped_fault") +
+                  m.at("dropped_partition"),
+              m.at("drops"));
+    EXPECT_EQ(m.at("displaced_outage") + m.at("displaced_partition"),
+              m.at("displaced"));
+    EXPECT_LE(m.at("recovered") + m.at("unrecovered"), m.at("displaced"));
+    if (m.at("recovered") == 0.0) {
+      EXPECT_EQ(m.at("mean_recovery_slots"), 0.0);
+    }
+    EXPECT_GE(m.at("fault_dropped_expected_reward"), 0.0);
+    if (o.point_value == 0.0) {
+      // Few sessions complete in 150 slots, so the reward alone would
+      // rarely show a fault; an applied plan would count its epochs.
+      EXPECT_EQ(m.at("reward"), m.at("baseline_reward"));
+      EXPECT_EQ(m.at("fault_epochs"), 0.0);
+      EXPECT_EQ(m.at("displaced"), 0.0);
+    } else {
+      displaced_under_chaos += m.at("displaced");
+    }
+  });
+  (void)runner.run();
+  EXPECT_EQ(observed, 2 * 2 * 4);
+  EXPECT_GT(displaced_under_chaos, 0.0) << "the chaos point faulted nothing";
 }
 
 TEST(Runner, ChaosLeavesOfflineOnlySweepsAlone) {

@@ -278,24 +278,6 @@ TEST(MeanSum, Basics) {
   EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
 }
 
-TEST(FitLine, RecoversExactLine) {
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 10; ++i) {
-    xs.push_back(i);
-    ys.push_back(3.0 + 2.0 * i);
-  }
-  const auto fit = fit_line(xs, ys);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-}
-
-TEST(FitLine, RejectsDegenerateInput) {
-  const std::vector<double> x1{1.0}, y1{1.0};
-  EXPECT_THROW(fit_line(x1, y1), std::invalid_argument);
-  const std::vector<double> same{2.0, 2.0}, ys{1.0, 5.0};
-  EXPECT_THROW(fit_line(same, ys), std::invalid_argument);
-}
-
 TEST(Table, AlignedOutputContainsCells) {
   Table t({"n", "reward"});
   t.add_numeric_row("100", {12.345}, 2);

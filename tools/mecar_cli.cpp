@@ -1,8 +1,6 @@
 // mecar command-line front-end.
 //
 // Subcommands:
-//   offline     run the offline algorithms on a generated instance
-//   online      run the online policies over a slotted horizon
 //   resilience  run the online policies under an injected fault scenario
 //               (scripted --plan=FILE or seeded --chaos=INTENSITY) and
 //               print the resilience metrics per policy
@@ -32,17 +30,12 @@
 #include <string>
 #include <vector>
 
-#include "baselines/greedy.h"
 #include "exp/registry.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
 #include "exp/telemetry.h"
 #include "obs/catalog.h"
 #include "obs/telemetry.h"
-#include "baselines/heu_kkt.h"
-#include "baselines/ocorp.h"
-#include "core/appro.h"
-#include "core/heu.h"
 #include "core/slot_lp.h"
 #include "lp/mps.h"
 #include "lp/revised_simplex.h"
@@ -52,7 +45,6 @@
 #include "sim/checkpoint.h"
 #include "sim/dynamic_rr.h"
 #include "sim/fault_plan.h"
-#include "sim/metrics.h"
 #include "sim/online_baselines.h"
 #include "util/cli.h"
 #include "util/rng.h"
@@ -81,90 +73,6 @@ mec::Topology make_topology(const Common& common, util::Rng& rng) {
   mec::TopologyParams params;
   params.num_stations = common.stations;
   return mec::generate_topology(params, rng);
-}
-
-int cmd_offline(const util::Cli& cli) {
-  const Common common = common_flags(cli);
-  util::Rng rng(common.seed);
-  const mec::Topology topo = make_topology(common, rng);
-  mec::WorkloadParams wparams;
-  wparams.num_requests = common.requests;
-  const auto requests = mec::generate_requests(wparams, topo, rng);
-  const auto realized = core::realize_demand_levels(requests, rng);
-  const core::AlgorithmParams params;
-
-  util::Table table({"algorithm", "reward ($)", "rewarded", "admitted",
-                     "avg latency (ms)"});
-  auto report = [&](const std::string& name,
-                    const core::OffloadResult& result) {
-    table.add_row({name, util::format_double(result.total_reward(), 1),
-                   std::to_string(result.num_rewarded()),
-                   std::to_string(result.num_admitted()),
-                   util::format_double(result.average_latency_ms(), 1)});
-  };
-  {
-    util::Rng r(common.seed + 1);
-    report("Appro", core::run_appro(topo, requests, realized, params, r));
-  }
-  {
-    util::Rng r(common.seed + 1);
-    report("Heu", core::run_heu(topo, requests, realized, params, r));
-  }
-  report("Greedy", baselines::run_greedy(topo, requests, realized, params));
-  report("OCORP", baselines::run_ocorp(topo, requests, realized, params));
-  report("HeuKKT", baselines::run_heu_kkt(topo, requests, realized, params));
-  table.print(std::cout, "offline instance, seed " +
-                             std::to_string(common.seed));
-  return 0;
-}
-
-int cmd_online(const util::Cli& cli) {
-  const Common common = common_flags(cli);
-  const int horizon = util::int_flag(cli, "horizon", 600);
-  util::Rng rng(common.seed);
-  const mec::Topology topo = make_topology(common, rng);
-  mec::WorkloadParams wparams;
-  wparams.num_requests = common.requests;
-  wparams.horizon_slots = horizon;
-  const auto requests = mec::generate_requests(wparams, topo, rng);
-  const auto realized = core::realize_demand_levels(requests, rng);
-  sim::OnlineParams params;
-  params.horizon_slots = horizon;
-  params.collect_detail = true;
-
-  util::Table table({"policy", "reward ($)", "completed", "dropped",
-                     "p95 lat (ms)", "fairness", "mean util"});
-  auto run = [&](sim::OnlinePolicy& policy) {
-    sim::OnlineSimulator simulator(topo, requests, realized, params);
-    const auto m = simulator.run(policy);
-    const auto s = sim::summarize(m);
-    table.add_row({policy.name(), util::format_double(m.total_reward, 1),
-                   std::to_string(m.completed), std::to_string(m.dropped),
-                   util::format_double(s.latency_p95_ms, 1),
-                   util::format_double(s.service_fairness, 3),
-                   util::format_double(s.mean_utilization, 3)});
-  };
-  {
-    sim::DynamicRrPolicy policy(topo, core::AlgorithmParams{},
-                                sim::DynamicRrParams{},
-                                util::Rng(common.seed + 1));
-    run(policy);
-  }
-  {
-    sim::GreedyOnlinePolicy policy(topo, core::AlgorithmParams{});
-    run(policy);
-  }
-  {
-    sim::OcorpOnlinePolicy policy(topo, core::AlgorithmParams{});
-    run(policy);
-  }
-  {
-    sim::HeuKktOnlinePolicy policy(topo, core::AlgorithmParams{});
-    run(policy);
-  }
-  table.print(std::cout, "online horizon " + std::to_string(horizon) +
-                             " slots, seed " + std::to_string(common.seed));
-  return 0;
 }
 
 int cmd_resilience(const util::Cli& cli) {
@@ -695,8 +603,8 @@ int cmd_fuzz_ckpt(const util::Cli& cli) {
   return failures == 0 ? 0 : 1;
 }
 
-/// Table precision a metric defaults to when a spec is run from the CLI
-/// (the compiled benches pin their own per-figure precisions).
+/// Table precision of a metric in `experiment`'s tables (and hence in the
+/// goldens under tests/golden/).
 int metric_precision(const std::string& metric) {
   if (metric == "reward" || metric == "lp_bound" ||
       metric == "baseline_reward") {
@@ -845,10 +753,9 @@ int cmd_list(const util::Cli&) {
 void usage() {
   std::cout <<
       "usage: mecar_cli "
-      "<offline|online|resilience|experiment|metrics|list|topology|trace"
+      "<resilience|experiment|metrics|list|topology|trace"
       "|lp|fuzz-lp|fuzz-ckpt> [flags]\n"
       "  common flags: --seed=N --requests=N --stations=N\n"
-      "  online:       --horizon=N\n"
       "  resilience:   --horizon=N --plan=FILE | --chaos=INTENSITY "
       "[--emit-plan]\n"
       "  experiment:   --spec=FILE [--seeds=N] [--horizon=N] "
@@ -878,8 +785,6 @@ int main(int argc, char** argv) {
   }
   const std::string& command = cli.positional().front();
   try {
-    if (command == "offline") return cmd_offline(cli);
-    if (command == "online") return cmd_online(cli);
     if (command == "resilience") return cmd_resilience(cli);
     if (command == "experiment") return cmd_experiment(cli);
     if (command == "metrics") return cmd_metrics(cli);
