@@ -31,4 +31,12 @@ std::vector<unsigned> bench_seeds(int count) {
   return seeds;
 }
 
+sim::FaultPlan chaos_plan(const mec::Topology& topo, double intensity,
+                          int horizon, unsigned seed) {
+  sim::ChaosParams chaos;
+  chaos.intensity = intensity;
+  util::Rng rng(seed * 2654435761u + 17u);
+  return sim::generate_chaos(topo, chaos, horizon, rng);
+}
+
 }  // namespace mecar::exp

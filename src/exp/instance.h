@@ -1,8 +1,8 @@
-// Simulation-instance construction shared by the scenario runner and the
-// micro benches: network + workload + pre-drawn demand realizations
-// (common random numbers across all algorithms under comparison), plus the
-// canonical seed schedule and the parallel seed sweep. It lives in the
-// library so the scenario engine and the benches build the same instances.
+// Simulation-instance construction shared by the scenario runner, the CLI
+// and the micro benches: network + workload + pre-drawn demand
+// realizations (common random numbers across all algorithms under
+// comparison), plus the canonical seed schedule and a trial's chaos plan.
+// It lives in the library so they all build the same instances and plans.
 #pragma once
 
 #include <limits>
@@ -11,7 +11,7 @@
 #include "core/types.h"
 #include "mec/topology.h"
 #include "mec/workload.h"
-#include "util/parallel.h"
+#include "sim/fault_plan.h"
 #include "util/rng.h"
 
 namespace mecar::exp {
@@ -49,16 +49,10 @@ Instance make_instance(unsigned seed, const InstanceConfig& config);
 /// Default seeds a sweep averages over (override with --seeds=N).
 std::vector<unsigned> bench_seeds(int count);
 
-/// Runs trial(seed) for every seed across the process thread pool
-/// (MECAR_THREADS cores; serial when 1) and returns the results in seed
-/// order. Each trial must derive all randomness from its seed; the caller
-/// reduces the ordered results serially, so the emitted figures are
-/// bit-identical to a serial sweep.
-template <typename Trial>
-auto sweep_seeds(const std::vector<unsigned>& seeds, Trial&& trial)
-    -> std::vector<decltype(trial(0u))> {
-  return util::parallel_map(seeds.size(),
-                            [&](std::size_t i) { return trial(seeds[i]); });
-}
+/// The chaos plan a trial of `seed` faults `topo` with: sim::generate_chaos
+/// at `intensity` over `horizon` slots, drawn from a stream derived from
+/// the seed alone (offset so it is independent of the workload stream).
+sim::FaultPlan chaos_plan(const mec::Topology& topo, double intensity,
+                          int horizon, unsigned seed);
 
 }  // namespace mecar::exp

@@ -19,6 +19,7 @@
 #include "sim/checkpoint.h"
 #include "sim/fault_plan.h"
 #include "sim/metrics.h"
+#include "util/parallel.h"
 #include "util/snapshot.h"
 #include "util/timer.h"
 
@@ -507,13 +508,8 @@ void Runner::Execution::sweep_seed(
 
   sim::FaultPlan plan = file_plan_;
   if (setup.chaos_intensity > 0.0 && online_inst) {
-    sim::ChaosParams chaos;
-    chaos.intensity = setup.chaos_intensity;
-    // The plan derives entirely from the trial seed (offset so the
-    // chaos stream is independent of the workload stream).
-    util::Rng chaos_rng(seed * 2654435761u + 17u);
-    plan = sim::generate_chaos(online_inst->topo, chaos, setup.horizon,
-                               chaos_rng);
+    plan = chaos_plan(online_inst->topo, setup.chaos_intensity, setup.horizon,
+                      seed);
   }
 
   for (std::size_t i = resumes(p, s) ? resume_->at.policy : 0;

@@ -6,20 +6,83 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
 namespace mecar::mec {
 
-RateRewardDist::RateRewardDist(std::vector<RateLevel> levels)
-    : levels_(std::move(levels)) {
-  if (levels_.empty()) {
+namespace {
+
+std::uint64_t bits(double x) noexcept {
+  return std::bit_cast<std::uint64_t>(x);
+}
+
+bool same_task(const TaskSpec& a, const TaskSpec& b) noexcept {
+  return a.name == b.name && bits(a.output_kb) == bits(b.output_kb) &&
+         bits(a.proc_weight) == bits(b.proc_weight);
+}
+
+/// FNV-1a over the names and the bits of the doubles, so equal task lists
+/// (by same_task) hash equally.
+std::size_t hash_tasks(std::span<const TaskSpec> tasks) noexcept {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto add = [&hash](std::uint64_t word) {
+    hash = (hash ^ word) * 0x100000001b3ULL;
+  };
+  for (const TaskSpec& task : tasks) {
+    for (const char c : task.name) add(static_cast<unsigned char>(c));
+    add(task.name.size());
+    add(bits(task.output_kb));
+    add(bits(task.proc_weight));
+  }
+  return static_cast<std::size_t>(hash);
+}
+
+}  // namespace
+
+const Pipeline::Interned Pipeline::kEmpty{};
+
+const Pipeline::Interned* Pipeline::intern(std::span<const TaskSpec> tasks) {
+  if (tasks.empty()) return &kEmpty;
+  double total = 0.0;
+  for (const TaskSpec& task : tasks) total += task.proc_weight;
+  const std::size_t hash = hash_tasks(tasks);
+  // Nodes of an unordered container never move, so the pointers handed
+  // out stay valid for the whole process.
+  struct Pool {
+    std::mutex mutex;
+    std::unordered_multimap<std::size_t, Interned> by_hash;  // guarded
+  };
+  static Pool pool;
+  const std::lock_guard lock(pool.mutex);
+  const auto [first, last] = pool.by_hash.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    const std::vector<TaskSpec>& known = it->second.tasks;
+    if (std::equal(known.begin(), known.end(), tasks.begin(), tasks.end(),
+                   same_task)) {
+      return &it->second;
+    }
+  }
+  Interned fresh{std::vector<TaskSpec>(tasks.begin(), tasks.end()), total};
+  return &pool.by_hash.emplace(hash, std::move(fresh))->second;
+}
+
+RateRewardDist::RateRewardDist(std::span<const RateLevel> levels)
+    : size_(levels.size()) {
+  if (levels.empty()) {
     throw std::invalid_argument("RateRewardDist: no levels");
+  }
+  if (levels.size() > kMaxRateLevels) {
+    throw std::invalid_argument("RateRewardDist: more than " +
+                                std::to_string(kMaxRateLevels) + " levels");
   }
   double total_prob = 0.0;
   double prev_rate = -1.0;
-  for (const RateLevel& lvl : levels_) {
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    const RateLevel& lvl = levels[k];
     if (lvl.rate <= prev_rate) {
       throw std::invalid_argument(
           "RateRewardDist: rates must be strictly increasing");
@@ -34,6 +97,7 @@ RateRewardDist::RateRewardDist(std::vector<RateLevel> levels)
     total_prob += lvl.prob;
     expected_rate_ += lvl.prob * lvl.rate;
     expected_reward_ += lvl.prob * lvl.reward;
+    levels_[k] = lvl;
   }
   if (std::abs(total_prob - 1.0) > 1e-9) {
     throw std::invalid_argument("RateRewardDist: probabilities must sum to 1");
@@ -42,7 +106,7 @@ RateRewardDist::RateRewardDist(std::vector<RateLevel> levels)
 
 double RateRewardDist::expected_truncated_rate(double cap) const noexcept {
   double e = 0.0;
-  for (const RateLevel& lvl : levels_) {
+  for (const RateLevel& lvl : levels()) {
     e += lvl.prob * std::min(lvl.rate, cap);
   }
   return e;
@@ -50,7 +114,7 @@ double RateRewardDist::expected_truncated_rate(double cap) const noexcept {
 
 double RateRewardDist::expected_reward_within(double cap) const noexcept {
   double e = 0.0;
-  for (const RateLevel& lvl : levels_) {
+  for (const RateLevel& lvl : levels()) {
     if (lvl.rate <= cap) e += lvl.prob * lvl.reward;
   }
   return e;
@@ -58,17 +122,11 @@ double RateRewardDist::expected_reward_within(double cap) const noexcept {
 
 std::size_t RateRewardDist::sample(util::Rng& rng) const {
   double target = rng.uniform();
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
+  for (std::size_t k = 0; k < size_; ++k) {
     target -= levels_[k].prob;
     if (target < 0.0) return k;
   }
-  return levels_.size() - 1;
-}
-
-double ARRequest::total_proc_weight() const noexcept {
-  double total = 0.0;
-  for (const TaskSpec& task : tasks) total += task.proc_weight;
-  return total;
+  return size_ - 1;
 }
 
 double placement_latency_ms(const Topology& topo, const ARRequest& req,

@@ -2,7 +2,11 @@
 // (data rate, reward) distribution of section III-B/C.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <initializer_list>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,46 @@ struct TaskSpec {
   double proc_weight = 1.0;
 };
 
+/// An immutable task pipeline, shared by every request with the same task
+/// list. Pipelines are interned by content (equal names, `output_kb` and
+/// `proc_weight` compared by their bits) and live for the whole process, so
+/// a Pipeline is one pointer: copying it touches no shared state, and equal
+/// task lists have the same data(). Interning takes a lock, so pipelines
+/// may be built on any thread.
+class Pipeline {
+ public:
+  /// The empty pipeline.
+  Pipeline() noexcept : data_(&kEmpty) {}
+  /// Interns `tasks`.
+  Pipeline(std::initializer_list<TaskSpec> tasks)
+      : Pipeline(std::span<const TaskSpec>(tasks.begin(), tasks.size())) {}
+  explicit Pipeline(std::span<const TaskSpec> tasks) : data_(intern(tasks)) {}
+
+  std::size_t size() const noexcept { return data_->tasks.size(); }
+  bool empty() const noexcept { return data_->tasks.empty(); }
+  const TaskSpec* data() const noexcept { return data_->tasks.data(); }
+  const TaskSpec* begin() const noexcept { return data(); }
+  const TaskSpec* end() const noexcept { return data() + size(); }
+  const TaskSpec& operator[](std::size_t k) const noexcept {
+    return data_->tasks[k];
+  }
+  /// Sum of the tasks' proc_weight in task order from 0.0, computed once
+  /// when the pipeline is interned.
+  double total_proc_weight() const noexcept {
+    return data_->total_proc_weight;
+  }
+
+ private:
+  struct Interned {
+    std::vector<TaskSpec> tasks;
+    double total_proc_weight = 0.0;
+  };
+  static const Interned kEmpty;
+  static const Interned* intern(std::span<const TaskSpec> tasks);
+
+  const Interned* data_;
+};
+
 /// One support point of the joint (data rate, reward) distribution:
 /// request r_j has rate `rate` (MB/s) with probability `prob`, collecting
 /// reward `reward` dollars when served at that rate (Eq. (pi, RD) pairs).
@@ -29,26 +73,43 @@ struct RateLevel {
   double reward = 0.0;
 };
 
-/// Discrete distribution over (rate, reward) pairs. Probabilities must sum
-/// to 1 (validated), rates must be strictly increasing.
+/// Most levels a RateRewardDist holds. The levels live inline in every
+/// request, so this cap sets the size of the request record.
+inline constexpr std::size_t kMaxRateLevels = 8;
+
+/// Discrete distribution over (rate, reward) pairs, stored inline (no heap
+/// memory). Probabilities must sum to 1 (validated), rates must be strictly
+/// increasing.
 class RateRewardDist {
  public:
   /// Degenerate distribution: rate 0 with probability 1, reward 0.
   /// Lets ARRequest be default-constructed before its demand is filled in.
-  RateRewardDist() : RateRewardDist({RateLevel{0.0, 1.0, 0.0}}) {}
+  RateRewardDist() noexcept : levels_{{RateLevel{0.0, 1.0, 0.0}}} {}
 
-  explicit RateRewardDist(std::vector<RateLevel> levels);
+  explicit RateRewardDist(std::initializer_list<RateLevel> levels)
+      : RateRewardDist(
+            std::span<const RateLevel>(levels.begin(), levels.size())) {}
+  /// Copies `levels`; throws std::invalid_argument on none, on more than
+  /// kMaxRateLevels, or on levels that do not form a distribution.
+  explicit RateRewardDist(std::span<const RateLevel> levels);
 
-  const std::vector<RateLevel>& levels() const noexcept { return levels_; }
-  std::size_t size() const noexcept { return levels_.size(); }
-  const RateLevel& level(std::size_t k) const { return levels_.at(k); }
+  std::span<const RateLevel> levels() const noexcept {
+    return {levels_.data(), size_};
+  }
+  std::size_t size() const noexcept { return size_; }
+  const RateLevel& level(std::size_t k) const {
+    if (k >= size_) {
+      throw std::out_of_range("RateRewardDist::level: index out of range");
+    }
+    return levels_[k];
+  }
 
   /// E[rho_j].
   double expected_rate() const noexcept { return expected_rate_; }
   /// E[RD_j] = sum_k pi_k * RD_k.
   double expected_reward() const noexcept { return expected_reward_; }
-  double max_rate() const noexcept { return levels_.back().rate; }
-  double min_rate() const noexcept { return levels_.front().rate; }
+  double max_rate() const noexcept { return levels_[size_ - 1].rate; }
+  double min_rate() const noexcept { return levels_[0].rate; }
 
   /// E[min(rho_j, cap)] — the truncated expectation of constraints (10)/(23).
   double expected_truncated_rate(double cap) const noexcept;
@@ -61,29 +122,36 @@ class RateRewardDist {
   std::size_t sample(util::Rng& rng) const;
 
  private:
-  std::vector<RateLevel> levels_;
+  // The scalars lead and the level array trails: DynamicRR's density pass
+  // reads both expectations of every queued request in every slot.
+  std::size_t size_ = 1;
   double expected_rate_ = 0.0;
   double expected_reward_ = 0.0;
+  std::array<RateLevel, kMaxRateLevels> levels_;
 };
 
 /// An AR request: home attachment point, task pipeline, uncertain demand,
 /// latency budget, and (for the dynamic problem) arrival time and stream
-/// duration.
+/// duration. A flat record that owns no heap memory: the pipeline is
+/// shared and the demand's levels are inline. The scalars come first and
+/// the demand's level array last.
 struct ARRequest {
   int id = 0;
   /// Base station the user device attaches to (requests enter here).
   int home_station = 0;
-  std::vector<TaskSpec> tasks;
-  RateRewardDist demand;
+  Pipeline tasks;
   /// Experienced-latency requirement \hat{D}_j, ms.
   double latency_budget_ms = 200.0;
   /// Arrival time slot a_j (dynamic problem; 0 for the offline problem).
   int arrival_slot = 0;
   /// Stream duration tau_j in slots (dynamic problem work model).
   int duration_slots = 1;
+  RateRewardDist demand;
 
   /// Total processing weight of the pipeline (sum of task weights).
-  double total_proc_weight() const noexcept;
+  double total_proc_weight() const noexcept {
+    return tasks.total_proc_weight();
+  }
 };
 
 /// Transmission + processing latency (ms) of running all tasks of `req` in

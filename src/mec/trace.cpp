@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/parse.h"
 
@@ -149,8 +150,10 @@ std::vector<double> window_rates_mbps(const FrameTrace& trace,
 RateRewardDist estimate_demand(const FrameTrace& trace,
                                const EstimateOptions& options,
                                util::Rng& rng) {
-  if (options.num_levels < 1) {
-    throw std::invalid_argument("estimate_demand: num_levels < 1");
+  if (options.num_levels < 1 ||
+      options.num_levels > static_cast<int>(kMaxRateLevels)) {
+    throw std::invalid_argument("estimate_demand: num_levels must be in [1, " +
+                                std::to_string(kMaxRateLevels) + "]");
   }
   const auto rates = window_rates_mbps(trace, options.window_ms);
   if (rates.empty()) {
@@ -192,7 +195,7 @@ RateRewardDist estimate_demand(const FrameTrace& trace,
   double acc = 0.0;
   for (std::size_t k = 0; k + 1 < out.size(); ++k) acc += out[k].prob;
   out.back().prob = 1.0 - acc;
-  return RateRewardDist(std::move(out));
+  return RateRewardDist(out);
 }
 
 }  // namespace mecar::mec

@@ -98,7 +98,8 @@ FrameTrace synthesize_trace(const TraceParams& params, util::Rng& rng);
 struct EstimateOptions {
   /// Rate-averaging window.
   double window_ms = 500.0;
-  /// Number of levels |DR| in the estimated support.
+  /// Number of levels |DR| in the estimated support, at most
+  /// kMaxRateLevels.
   int num_levels = 5;
   /// Unit reward range [24]; rewards are drawn demand-independently
   /// (section III-C) using `rng`.
@@ -109,7 +110,9 @@ struct EstimateOptions {
 /// Windows the trace into data rates, quantizes them into
 /// `options.num_levels` equal-width bins over the observed range, and
 /// returns the empirical (rate, probability, reward) distribution.
-/// Throws when the trace is shorter than one window.
+/// Throws std::invalid_argument, before drawing from `rng`, when
+/// `options.num_levels` is outside [1, kMaxRateLevels] or the trace is
+/// shorter than one window.
 RateRewardDist estimate_demand(const FrameTrace& trace,
                                const EstimateOptions& options,
                                util::Rng& rng);

@@ -1,12 +1,17 @@
 #include "mec/workload.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 namespace mecar::mec {
 
-std::vector<TaskSpec> ar_pipeline(int count) {
+Pipeline ar_pipeline(int count) {
   if (count <= 0) {
     throw std::invalid_argument("ar_pipeline: non-positive task count");
   }
@@ -23,8 +28,42 @@ std::vector<TaskSpec> ar_pipeline(int count) {
   for (int k = 0; k < count; ++k) {
     tasks.push_back(kTemplate[static_cast<std::size_t>(k % 4)]);
   }
-  return tasks;
+  return Pipeline(tasks);
 }
+
+namespace {
+
+/// Orders `requests`, generated in id order, by (arrival_slot, id) without
+/// a second copy of the workload. A stable counting sort over the slots
+/// [0, horizon) lists, for each position, the record that belongs there;
+/// the permutation is then applied in place one cycle at a time, copying
+/// each record once, straight into its final position.
+void order_by_arrival(std::vector<ARRequest>& requests, int horizon) {
+  std::vector<std::size_t> begin(static_cast<std::size_t>(horizon) + 1, 0);
+  for (const ARRequest& req : requests) {
+    ++begin[static_cast<std::size_t>(req.arrival_slot) + 1];
+  }
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<std::size_t> source(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    source[begin[static_cast<std::size_t>(requests[i].arrival_slot)]++] = i;
+  }
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    if (source[k] == k) continue;
+    const ARRequest first = requests[k];
+    std::size_t j = k;
+    while (source[j] != k) {
+      const std::size_t from = source[j];
+      requests[j] = requests[from];
+      source[j] = j;
+      j = from;
+    }
+    requests[j] = first;
+    source[j] = j;
+  }
+}
+
+}  // namespace
 
 std::vector<ARRequest> generate_requests(const WorkloadParams& params,
                                          const Topology& topo,
@@ -32,8 +71,11 @@ std::vector<ARRequest> generate_requests(const WorkloadParams& params,
   if (params.num_requests < 0) {
     throw std::invalid_argument("generate_requests: negative request count");
   }
-  if (params.num_rate_levels < 1) {
-    throw std::invalid_argument("generate_requests: need >= 1 rate level");
+  if (params.num_rate_levels < 1 ||
+      params.num_rate_levels > static_cast<int>(kMaxRateLevels)) {
+    throw std::invalid_argument(
+        "generate_requests: num_rate_levels must be in [1, " +
+        std::to_string(kMaxRateLevels) + "]");
   }
   if (params.rate_min <= 0.0 || params.rate_max < params.rate_min) {
     throw std::invalid_argument("generate_requests: bad rate range");
@@ -71,21 +113,28 @@ std::vector<ARRequest> generate_requests(const WorkloadParams& params,
     skew_pow[static_cast<std::size_t>(k)] = std::pow(params.rate_prob_skew, k);
   }
   std::vector<double> probs(static_cast<std::size_t>(levels));
+  std::array<RateLevel, kMaxRateLevels> rate_levels;
+  // One interned pipeline per drawn length, resolved on its first draw, so
+  // a wide [tasks_min, tasks_max] interns only the lengths it uses.
+  std::vector<Pipeline> pipelines(
+      static_cast<std::size_t>(params.tasks_max - params.tasks_min) + 1);
 
   for (int j = 0; j < params.num_requests; ++j) {
-    ARRequest req;
+    ARRequest& req = requests.emplace_back();
     req.id = j;
     req.home_station = station_perm[home_dist.sample(rng)];
-    req.tasks = ar_pipeline(
-        static_cast<int>(rng.uniform_int(params.tasks_min, params.tasks_max)));
+    const int num_tasks =
+        static_cast<int>(rng.uniform_int(params.tasks_min, params.tasks_max));
+    Pipeline& pipeline =
+        pipelines[static_cast<std::size_t>(num_tasks - params.tasks_min)];
+    if (pipeline.empty()) pipeline = ar_pipeline(num_tasks);
+    req.tasks = pipeline;
     req.latency_budget_ms = params.latency_budget_ms;
 
     // Discrete rate support: evenly spaced levels across [rate_min, rate_max]
     // with a small per-request jitter, geometric probability skew toward
     // small rates ("the probability of requests with large data rates is
     // usually small" [10]), and an independent unit reward per level.
-    std::vector<RateLevel> rate_levels;
-    rate_levels.reserve(static_cast<std::size_t>(levels));
     double prob_total = 0.0;
     for (int k = 0; k < levels; ++k) {
       const double jitter = rng.uniform(0.8, 1.2);
@@ -112,15 +161,16 @@ std::vector<ARRequest> generate_requests(const WorkloadParams& params,
               ? rng.uniform(params.rate_min, params.rate_max)
               : lvl.rate;
       lvl.reward = unit * billed_volume;
-      rate_levels.push_back(lvl);
+      rate_levels[static_cast<std::size_t>(k)] = lvl;
     }
     // Normalize the tail so probabilities sum to exactly 1.
     double acc = 0.0;
     for (int k = 0; k + 1 < levels; ++k) {
       acc += rate_levels[static_cast<std::size_t>(k)].prob;
     }
-    rate_levels.back().prob = 1.0 - acc;
-    req.demand = RateRewardDist(std::move(rate_levels));
+    rate_levels[static_cast<std::size_t>(levels - 1)].prob = 1.0 - acc;
+    req.demand = RateRewardDist(std::span<const RateLevel>(
+        rate_levels.data(), static_cast<std::size_t>(levels)));
 
     if (params.horizon_slots > 0) {
       const int horizon = params.horizon_slots;
@@ -140,7 +190,10 @@ std::vector<ARRequest> generate_requests(const WorkloadParams& params,
         case ArrivalProcess::kFlashCrowd: {
           // Half the arrivals land in the middle eighth of the horizon.
           if (rng.bernoulli(0.5)) {
-            const int burst_start = horizon * 7 / 16;
+            // In 64 bits: 7 * horizon overflows an int from ~3.1e8 slots,
+            // and order_by_arrival indexes by slot.
+            const int burst_start =
+                static_cast<int>(std::int64_t{horizon} * 7 / 16);
             const int burst_len = std::max(1, horizon / 8);
             req.arrival_slot = burst_start + static_cast<int>(rng.uniform_int(
                                                  0, burst_len - 1));
@@ -154,16 +207,12 @@ std::vector<ARRequest> generate_requests(const WorkloadParams& params,
     }
     req.duration_slots = static_cast<int>(rng.uniform_int(
         params.duration_min_slots, params.duration_max_slots));
-    requests.push_back(std::move(req));
   }
 
-  std::sort(requests.begin(), requests.end(),
-            [](const ARRequest& a, const ARRequest& b) {
-              if (a.arrival_slot != b.arrival_slot) {
-                return a.arrival_slot < b.arrival_slot;
-              }
-              return a.id < b.id;
-            });
+  // Offline requests all arrive at slot 0, already in id order.
+  if (params.horizon_slots > 0) {
+    order_by_arrival(requests, params.horizon_slots);
+  }
   return requests;
 }
 

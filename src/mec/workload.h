@@ -46,7 +46,8 @@ struct WorkloadParams {
   /// Data-rate support [30, 50] MB/s; Fig. 6 sweeps rate_max.
   double rate_min = 30.0;
   double rate_max = 50.0;
-  /// Number of discrete levels |DR| in the rate support.
+  /// Number of discrete levels |DR| in the rate support, at most
+  /// kMaxRateLevels.
   int num_rate_levels = 5;
   /// Larger rates are less likely [10]; probability of level k is
   /// proportional to skew^k (skew <= 1). 1.0 = uniform.
@@ -79,12 +80,14 @@ struct WorkloadParams {
 /// Computing resource consumed per unit data rate: 20 MHz per MB/s (VI-A).
 inline constexpr double kCUnitMhzPerMbps = 20.0;
 
-/// The four-task AR pipeline template of [5]; `count` tasks are taken
-/// cyclically (3 -> render/track/update, 5 -> + recognize + render pass).
-std::vector<TaskSpec> ar_pipeline(int count);
+/// The interned four-task AR pipeline template of [5]; `count` tasks are
+/// taken cyclically (3 -> render/track/update, 5 -> + recognize + render
+/// pass). Every call with the same `count` returns the same pipeline.
+Pipeline ar_pipeline(int count);
 
-/// Generates `params.num_requests` AR requests attached to uniformly random
-/// home stations of `topo`.
+/// Generates `params.num_requests` AR requests attached to Zipf-weighted
+/// home stations of `topo`, ordered by (arrival_slot, id). Throws
+/// std::invalid_argument on bad parameters, before drawing anything.
 std::vector<ARRequest> generate_requests(const WorkloadParams& params,
                                          const Topology& topo,
                                          util::Rng& rng);

@@ -145,8 +145,8 @@ struct MetricDescriptor {
 /// Threading contract: counter/gauge/histogram registration and snapshot()
 /// take a lock and may run from any thread; recording through handles is
 /// lock-free per thread. snapshot() and reset() must not run concurrently
-/// with recording — take snapshots after parallel regions complete (the
-/// scenario engine's sweep_seeds joins before any export).
+/// with recording — take snapshots after parallel regions complete
+/// (exp::Runner's util::parallel_map regions join before any export).
 class MetricRegistry {
  public:
   MetricRegistry();

@@ -68,14 +68,30 @@ bool Cli::get_bool_or(const std::string& key, bool fallback) const {
                               *v + "'");
 }
 
-int int_flag(const Cli& cli, const std::string& key, int fallback) {
+namespace {
+
+/// Integer flag `key` (absent or empty = `fallback`), checked against the
+/// range of T before any narrowing.
+template <typename T>
+T ranged_flag(const Cli& cli, const std::string& key, T fallback) {
   const std::int64_t v = cli.get_int_or(key, fallback);
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
+  if (v < static_cast<std::int64_t>(std::numeric_limits<T>::min()) ||
+      v > static_cast<std::int64_t>(std::numeric_limits<T>::max())) {
     throw std::invalid_argument("flag --" + key + " is out of range: '" +
                                 cli.get_or(key, "") + "'");
   }
-  return static_cast<int>(v);
+  return static_cast<T>(v);
+}
+
+}  // namespace
+
+int int_flag(const Cli& cli, const std::string& key, int fallback) {
+  return ranged_flag<int>(cli, key, fallback);
+}
+
+unsigned unsigned_flag(const Cli& cli, const std::string& key,
+                       unsigned fallback) {
+  return ranged_flag<unsigned>(cli, key, fallback);
 }
 
 }  // namespace mecar::util

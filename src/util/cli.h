@@ -42,4 +42,10 @@ class Cli {
 /// flag, rather than being truncated.
 int int_flag(const Cli& cli, const std::string& key, int fallback = 0);
 
+/// Reads integer flag `key` as an unsigned (absent or empty = `fallback`).
+/// A negative value or one above the unsigned range throws
+/// std::invalid_argument naming the flag.
+unsigned unsigned_flag(const Cli& cli, const std::string& key,
+                       unsigned fallback = 0);
+
 }  // namespace mecar::util

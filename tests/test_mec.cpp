@@ -11,10 +11,15 @@
 #include <optional>
 #include <queue>
 #include <set>
+#include <span>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "core/types.h"
 #include "mec/request.h"
 #include "mec/topology.h"
+#include "mec/trace.h"
 #include "mec/workload.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -425,6 +430,97 @@ TEST(RateRewardDist, DefaultIsDegenerate) {
   EXPECT_DOUBLE_EQ(dist.expected_reward(), 0.0);
 }
 
+TEST(RateRewardDist, HoldsAtMostEightLevelsInline) {
+  std::vector<RateLevel> levels;
+  for (std::size_t k = 0; k < kMaxRateLevels; ++k) {
+    levels.push_back({30.0 + static_cast<double>(k), 0.125, 100.0});
+  }
+  const RateRewardDist eight(levels);
+  EXPECT_EQ(eight.size(), kMaxRateLevels);
+  EXPECT_EQ(eight.levels().data(), &eight.level(0));
+  EXPECT_DOUBLE_EQ(eight.max_rate(), 37.0);
+  EXPECT_THROW((void)eight.level(kMaxRateLevels), std::out_of_range);
+  levels.push_back({40.0, 0.0, 100.0});
+  EXPECT_THROW(RateRewardDist{levels}, std::invalid_argument);
+}
+
+TEST(FlatRequest, IsTriviallyCopyableAndFitsIn256Bytes) {
+  // A request owns no heap memory: copying one is a memcpy that touches
+  // no shared counter, and a workload of them is one allocation.
+  static_assert(std::is_trivially_copyable_v<ARRequest>);
+  static_assert(sizeof(ARRequest) <= 256);
+  ARRequest req;
+  req.tasks = ar_pipeline(3);
+  req.demand = RateRewardDist({{30.0, 0.5, 300.0}, {50.0, 0.5, 700.0}});
+  ARRequest copy;
+  std::memcpy(static_cast<void*>(&copy), &req, sizeof(ARRequest));
+  EXPECT_EQ(copy.tasks.data(), req.tasks.data());
+  EXPECT_EQ(copy.total_proc_weight(), req.total_proc_weight());
+  EXPECT_DOUBLE_EQ(copy.demand.expected_reward(), 500.0);
+  EXPECT_DOUBLE_EQ(copy.demand.level(1).rate, 50.0);
+}
+
+TEST(ARPipeline, EachLengthIsInternedOnce) {
+  EXPECT_EQ(ar_pipeline(3).data(), ar_pipeline(3).data());
+  EXPECT_NE(ar_pipeline(3).data(), ar_pipeline(4).data());
+  // Lengths no other call in this process has interned yet, so the pool
+  // threads race to intern each one.
+  util::ThreadPool pool(4);
+  const auto addresses = pool.parallel_map(64, [](std::size_t i) {
+    return ar_pipeline(20 + static_cast<int>(i % 4)).data();
+  });
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    EXPECT_EQ(addresses[i], ar_pipeline(20 + static_cast<int>(i % 4)).data())
+        << "call " << i;
+  }
+}
+
+TEST(ARPipeline, EqualHandBuiltListsShareOnePipeline) {
+  const Pipeline a = {TaskSpec{"a", 64.0, 0.5}, TaskSpec{"b", 64.0, 0.3}};
+  ARRequest req;
+  req.tasks = {TaskSpec{"a", 64.0, 0.5}, TaskSpec{"b", 64.0, 0.3}};
+  EXPECT_EQ(req.tasks.data(), a.data());
+  // Doubles are compared by their bits, names by their characters.
+  const Pipeline negative_zero = {TaskSpec{"a", 64.0, 0.5},
+                                  TaskSpec{"b", -0.0, 0.3}};
+  const Pipeline positive_zero = {TaskSpec{"a", 64.0, 0.5},
+                                  TaskSpec{"b", 0.0, 0.3}};
+  EXPECT_NE(negative_zero.data(), positive_zero.data());
+  EXPECT_NE(Pipeline({TaskSpec{"c", 64.0, 0.5}}).data(),
+            Pipeline({TaskSpec{"a", 64.0, 0.5}}).data());
+  // A hand-built copy of the template is the template's pipeline.
+  const Pipeline braud = ar_pipeline(4);
+  const std::vector<TaskSpec> copy(braud.begin(), braud.end());
+  EXPECT_EQ(Pipeline(copy).data(), braud.data());
+  EXPECT_TRUE(ARRequest{}.tasks.empty());
+  EXPECT_EQ(Pipeline(std::span<const TaskSpec>{}).data(), Pipeline{}.data());
+}
+
+TEST(ARPipeline, TotalProcWeightKeepsTheInOrderSumBits) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto loop_sum = [](const Pipeline& tasks) {
+    double total = 0.0;
+    for (const TaskSpec& task : tasks) total += task.proc_weight;
+    return total;
+  };
+  std::vector<TaskSpec> all;
+  for (const double w : {0.0, 0.1, 1e-300, 7.25, 1e300, kInf}) {
+    const Pipeline pair = {TaskSpec{"a", 64.0, w}, TaskSpec{"b", 64.0, 0.3}};
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pair.total_proc_weight()),
+              std::bit_cast<std::uint64_t>(loop_sum(pair)))
+        << "weight " << w;
+    all.push_back(TaskSpec{"t" + std::to_string(all.size()), 64.0, w});
+  }
+  const Pipeline chain(all);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(chain.total_proc_weight()),
+            std::bit_cast<std::uint64_t>(loop_sum(chain)));
+  for (int k = 1; k <= 6; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ar_pipeline(k).total_proc_weight()),
+              std::bit_cast<std::uint64_t>(loop_sum(ar_pipeline(k))))
+        << k << " tasks";
+  }
+}
+
 TEST(ARPipeline, TemplateMatchesBraudTrace) {
   const auto tasks = ar_pipeline(4);
   ASSERT_EQ(tasks.size(), 4u);
@@ -562,6 +658,68 @@ TEST(Workload, ValidatesParameters) {
   params = {};
   params.rate_prob_skew = 0.0;
   EXPECT_THROW(generate_requests(params, topo, rng), std::invalid_argument);
+}
+
+TEST(Workload, MoreRateLevelsThanFitInlineAreRejectedBeforeAnyDraw) {
+  const Topology topo = line_topology();
+  util::Rng rng(8);
+  WorkloadParams params;
+  params.num_requests = 4;
+  params.num_rate_levels = static_cast<int>(kMaxRateLevels);
+  for (const ARRequest& req : generate_requests(params, topo, rng)) {
+    EXPECT_EQ(req.demand.size(), kMaxRateLevels);
+  }
+  params.num_rate_levels = static_cast<int>(kMaxRateLevels) + 1;
+  util::Rng untouched = rng;
+  EXPECT_THROW((void)generate_requests(params, topo, rng),
+               std::invalid_argument);
+  EXPECT_EQ(rng(), untouched());
+
+  const FrameTrace trace = synthesize_trace(TraceParams{}, rng);
+  EstimateOptions options;
+  options.num_levels = static_cast<int>(kMaxRateLevels);
+  EXPECT_LE(estimate_demand(trace, options, rng).size(), kMaxRateLevels);
+  options.num_levels = static_cast<int>(kMaxRateLevels) + 1;
+  untouched = rng;
+  EXPECT_THROW((void)estimate_demand(trace, options, rng),
+               std::invalid_argument);
+  EXPECT_EQ(rng(), untouched());
+}
+
+TEST(Workload, RequestsAreOrderedByArrivalThenId) {
+  // Many requests per slot, so the in-place ordering must keep id order
+  // within each slot under every arrival process.
+  util::Rng rng(9);
+  const Topology topo = line_topology();
+  for (const ArrivalProcess arrivals :
+       {ArrivalProcess::kUniform, ArrivalProcess::kPoisson,
+        ArrivalProcess::kFlashCrowd}) {
+    for (const int horizon : {1, 7, 50}) {
+      WorkloadParams params;
+      params.num_requests = 1000;
+      params.horizon_slots = horizon;
+      params.arrivals = arrivals;
+      const auto requests = generate_requests(params, topo, rng);
+      std::vector<char> seen(requests.size(), 0);
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const ARRequest& req = requests[i];
+        ASSERT_GE(req.id, 0);
+        ASSERT_LT(req.id, params.num_requests);
+        EXPECT_EQ(seen[static_cast<std::size_t>(req.id)]++, 0);
+        if (i > 0) {
+          const ARRequest& prev = requests[i - 1];
+          EXPECT_TRUE(prev.arrival_slot < req.arrival_slot ||
+                      (prev.arrival_slot == req.arrival_slot &&
+                       prev.id < req.id))
+              << "position " << i << ", horizon " << horizon;
+        }
+      }
+    }
+  }
+  WorkloadParams none;
+  none.num_requests = 0;
+  none.horizon_slots = 10;
+  EXPECT_TRUE(generate_requests(none, topo, rng).empty());
 }
 
 TEST(Workload, GeneratorRejectsBadTopologyParams) {

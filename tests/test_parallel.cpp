@@ -51,9 +51,10 @@ TEST(ThreadPool, ParallelMapStoresResultsByIndex) {
 }
 
 TEST(ThreadPool, SeededTrialsMatchSerialElementByElement) {
-  // The determinism contract of exp::sweep_seeds: each trial derives
-  // all randomness from its index, so the pooled map equals the serial loop
-  // exactly (same doubles).
+  // The determinism contract exp::Runner's sweeps rely on when they run
+  // trials through util::parallel_map: each trial derives all randomness
+  // from its index, so the pooled map equals the serial loop exactly (same
+  // doubles).
   auto trial = [](std::size_t i) {
     Rng rng(static_cast<unsigned>(7 + i * 1000));
     double acc = 0.0;

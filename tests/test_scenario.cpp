@@ -1,7 +1,8 @@
 // Scenario engine: text-format round-trip, hardened parse errors, policy
 // registry lookups, report collection, the runner's up-front spec checks,
-// regret point derivation, chaos-sweep resilience accounting, and a golden
-// check pinning the runner's sweep to a hand-written per-seed loop.
+// regret point derivation, chaos-sweep resilience accounting, the shared
+// chaos plan, and a golden check pinning the runner's sweep to a
+// hand-written per-seed loop.
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -491,6 +492,56 @@ TEST(Runner, ChaosSweepKeepsResilienceAccounting) {
   (void)runner.run();
   EXPECT_EQ(observed, 2 * 2 * 4);
   EXPECT_GT(displaced_under_chaos, 0.0) << "the chaos point faulted nothing";
+}
+
+TEST(Runner, ChaosTrialFaultsWithTheSharedChaosPlan) {
+  // A chaos trial faults with exp::chaos_plan of its seed, the plan
+  // `mecar_cli resilience --emit-plan` prints: one seed of a chaos spec
+  // through the runner equals a hand run of make_instance plus that plan.
+  const int horizon = 300;
+  const int num_requests = 150;
+  const double intensity = 1.0;
+  exp::ScenarioSpec spec;
+  spec.name = "chaos_plan";
+  spec.axis = exp::SweepAxis::kRequests;
+  spec.points = {static_cast<double>(num_requests)};
+  spec.seeds = 1;
+  spec.horizon = horizon;
+  spec.chaos_intensity = intensity;
+  spec.policies = {{"online:Greedy", "Greedy"}};
+  spec.metrics = {"reward"};
+  exp::Runner runner(spec);
+  std::map<std::string, double> observed;
+  runner.set_observer(
+      [&](const exp::TrialObservation& o) { observed = *o.metrics; });
+  (void)runner.run();
+
+  const unsigned seed = exp::bench_seeds(1).front();
+  exp::InstanceConfig config;
+  config.num_requests = num_requests;
+  config.horizon_slots = horizon;
+  const exp::Instance inst = exp::make_instance(seed, config);
+  const auto run = [&](const sim::OnlineParams& params) {
+    auto policy = exp::PolicyRegistry::global().make_online(
+        "Greedy", inst.topo, core::AlgorithmParams{}, sim::DynamicRrParams{},
+        util::Rng(seed + 1));
+    sim::OnlineSimulator simulator(inst.topo, inst.requests, inst.realized,
+                                   params);
+    return simulator.run(*policy);
+  };
+  sim::OnlineParams params;
+  params.horizon_slots = horizon;
+  const sim::OnlineMetrics ref = run(params);
+  params.faults = exp::chaos_plan(inst.topo, intensity, horizon, seed);
+  const sim::OnlineMetrics faulted = run(params);
+  ASSERT_GT(faulted.resilience.fault_epochs, 0);
+  ASSERT_NE(faulted.total_reward, ref.total_reward);
+  EXPECT_EQ(observed.at("baseline_reward"), ref.total_reward);
+  EXPECT_EQ(observed.at("reward"), faulted.total_reward);
+  EXPECT_EQ(observed.at("drops"), faulted.dropped);
+  EXPECT_EQ(observed.at("displaced"), faulted.displaced);
+  EXPECT_EQ(observed.at("fault_epochs"), faulted.resilience.fault_epochs);
+  EXPECT_EQ(observed.at("dropped_fault"), faulted.resilience.dropped_fault);
 }
 
 TEST(Runner, ChaosLeavesOfflineOnlySweepsAlone) {

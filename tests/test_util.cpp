@@ -391,6 +391,23 @@ TEST(Cli, IntFlagRejectsValuesOutsideTheIntRange) {
   }
 }
 
+TEST(Cli, UnsignedFlagRejectsValuesOutsideTheUnsignedRange) {
+  const char* argv[] = {"prog", "--big=4294967338", "--neg=-1",
+                        "--ok=4294967295", "--empty="};
+  Cli cli(5, argv);
+  EXPECT_EQ(unsigned_flag(cli, "ok"), std::numeric_limits<unsigned>::max());
+  EXPECT_EQ(unsigned_flag(cli, "empty", 42), 42u);
+  EXPECT_EQ(unsigned_flag(cli, "absent", 42), 42u);
+  EXPECT_THROW((void)unsigned_flag(cli, "neg"), std::invalid_argument);
+  try {
+    (void)unsigned_flag(cli, "big", 42);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--big is out of range"),
+              std::string::npos);
+  }
+}
+
 TEST(Cli, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--n=abc"};
   Cli cli(2, argv);

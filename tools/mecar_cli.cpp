@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/instance.h"
 #include "exp/registry.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
@@ -77,18 +78,21 @@ mec::Topology make_topology(const Common& common, util::Rng& rng) {
 
 int cmd_resilience(const util::Cli& cli) {
   const Common common = common_flags(cli);
+  // exp::make_instance and exp::chaos_plan take the unsigned trial seed a
+  // scenario run uses, so a wider --seed is refused rather than truncated.
+  const unsigned seed = util::unsigned_flag(cli, "seed", 42);
   const int horizon = util::int_flag(cli, "horizon", 600);
-  util::Rng rng(common.seed);
-  const mec::Topology topo = make_topology(common, rng);
-  mec::WorkloadParams wparams;
-  wparams.num_requests = common.requests;
-  wparams.horizon_slots = horizon;
-  const auto requests = mec::generate_requests(wparams, topo, rng);
-  const auto realized = core::realize_demand_levels(requests, rng);
+  exp::InstanceConfig config;
+  config.num_requests = common.requests;
+  config.num_stations = common.stations;
+  config.horizon_slots = horizon;
+  const exp::Instance inst = exp::make_instance(seed, config);
+  const mec::Topology& topo = inst.topo;
 
   // Fault scenario: a versioned script (--plan=FILE) or a seeded chaos
-  // draw (--chaos=INTENSITY). --emit-plan prints the active plan in the
-  // scenario format so a chaos draw can be saved and replayed.
+  // draw (--chaos=INTENSITY), the plan a scenario trial of this seed
+  // faults with. --emit-plan prints the active plan in the scenario
+  // format so a chaos draw can be saved and replayed.
   sim::FaultPlan plan;
   if (const auto path = cli.get("plan"); path && !path->empty()) {
     std::ifstream file(*path);
@@ -98,11 +102,8 @@ int cmd_resilience(const util::Cli& cli) {
     }
     plan = sim::read_fault_plan(file);
   } else {
-    sim::ChaosParams chaos;
-    chaos.intensity = cli.get_double_or("chaos", 0.5);
-    util::Rng chaos_rng(static_cast<unsigned>(common.seed) * 2654435761u +
-                        17u);
-    plan = sim::generate_chaos(topo, chaos, horizon, chaos_rng);
+    plan = exp::chaos_plan(topo, cli.get_double_or("chaos", 0.5), horizon,
+                           seed);
   }
   plan.validate(topo);
   if (cli.has("emit-plan")) {
@@ -116,11 +117,12 @@ int cmd_resilience(const util::Cli& cli) {
                      "recovered", "mean rec (slots)", "drop starve",
                      "drop fault", "drop cut"});
   auto run = [&](sim::OnlinePolicy& healthy, sim::OnlinePolicy& policy) {
-    sim::OnlineSimulator ref_sim(topo, requests, realized, params);
+    sim::OnlineSimulator ref_sim(topo, inst.requests, inst.realized, params);
     const auto ref = ref_sim.run(healthy);
     sim::OnlineParams faulted = params;
     faulted.faults = plan;
-    sim::OnlineSimulator simulator(topo, requests, realized, faulted);
+    sim::OnlineSimulator simulator(topo, inst.requests, inst.realized,
+                                   faulted);
     const auto m = simulator.run(policy);
     const auto& rs = m.resilience;
     table.add_row(
@@ -138,10 +140,10 @@ int cmd_resilience(const util::Cli& cli) {
   {
     sim::DynamicRrPolicy healthy(topo, core::AlgorithmParams{},
                                  sim::DynamicRrParams{},
-                                 util::Rng(common.seed + 1));
+                                 util::Rng(std::uint64_t{seed} + 1));
     sim::DynamicRrPolicy policy(topo, core::AlgorithmParams{},
                                 sim::DynamicRrParams{},
-                                util::Rng(common.seed + 1));
+                                util::Rng(std::uint64_t{seed} + 1));
     run(healthy, policy);
   }
   {
@@ -162,7 +164,7 @@ int cmd_resilience(const util::Cli& cli) {
   table.print(std::cout, "resilience, " + std::to_string(plan.num_events()) +
                              " fault events, horizon " +
                              std::to_string(horizon) + " slots, seed " +
-                             std::to_string(common.seed));
+                             std::to_string(seed));
   return 0;
 }
 
