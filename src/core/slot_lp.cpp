@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -14,12 +13,6 @@ namespace mecar::core {
 
 namespace {
 
-/// The strict (latency, id) order of candidate lists.
-bool nearer(const CandidateStation& a, const CandidateStation& b) {
-  if (a.latency_ms != b.latency_ms) return a.latency_ms < b.latency_ms;
-  return a.station < b.station;
-}
-
 /// The number of stations a candidate list keeps under `params`.
 std::size_t candidate_limit(const mec::Topology& topo,
                             const AlgorithmParams& params) {
@@ -28,39 +21,6 @@ std::size_t candidate_limit(const mec::Topology& topo,
              ? std::min(all, static_cast<std::size_t>(
                                  params.max_candidate_stations))
              : all;
-}
-
-/// The first `limit` stations in (latency, id) order among those whose
-/// latency from `home` at processing weight `weight` passes `waiting_ms +
-/// latency <= budget_ms`, from one scan of the home station's delay row.
-/// Every latency comes from the one placement_latency_ms expression.
-std::vector<CandidateStation> nearest_stations(const mec::Topology& topo,
-                                               int home, double weight,
-                                               std::size_t limit,
-                                               double waiting_ms,
-                                               double budget_ms) {
-  const std::span<const double> delay = topo.delays_from(home);
-  const std::vector<mec::BaseStation>& stations = topo.stations();
-  // A max-heap under nearer(): its front is the worst station kept so far,
-  // and a scanned station enters only when it beats that one.
-  std::vector<CandidateStation> kept;
-  kept.reserve(limit);
-  for (std::size_t bs = 0; bs < stations.size(); ++bs) {
-    const double lat = mec::placement_latency_ms(
-        delay[bs], weight, stations[bs].proc_ms_per_unit);
-    if (!(waiting_ms + lat <= budget_ms)) continue;
-    const CandidateStation cand{static_cast<int>(bs), lat};
-    if (kept.size() < limit) {
-      kept.push_back(cand);
-      std::push_heap(kept.begin(), kept.end(), nearer);
-    } else if (nearer(cand, kept.front())) {
-      std::pop_heap(kept.begin(), kept.end(), nearer);
-      kept.back() = cand;
-      std::push_heap(kept.begin(), kept.end(), nearer);
-    }
-  }
-  std::sort_heap(kept.begin(), kept.end(), nearer);
-  return kept;
 }
 
 /// Calls `row(bs, cols)` once per station that has columns, stations
@@ -90,9 +50,11 @@ std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,
                                                  double waiting_ms) {
-  return nearest_stations(topo, req.home_station, req.total_proc_weight(),
-                          candidate_limit(topo, params), waiting_ms,
-                          req.latency_budget_ms);
+  mec::KeepRule keep;
+  keep.waiting_ms = waiting_ms;
+  keep.budget_ms = req.latency_budget_ms;
+  return topo.nearest_by_latency(req.home_station, req.total_proc_weight(),
+                                 candidate_limit(topo, params), keep);
 }
 
 std::size_t CandidateMemo::KeyHash::operator()(const Key& key) const noexcept {
@@ -117,13 +79,16 @@ std::span<const CandidateStation> CandidateMemo::lookup(
                 candidate_limit(topo, params)};
   auto it = lists_.find(key);
   if (it == lists_.end()) {
-    // The scan throws on a bad home station before anything is stored.
+    // The search throws on a bad home station before anything is stored.
     // With no wait and an infinite budget its test keeps every station
     // whose latency is not NaN.
-    std::vector<CandidateStation> nearest = nearest_stations(
-        topo, key.home, weight, key.limit, 0.0,
-        std::numeric_limits<double>::infinity());
+    std::vector<CandidateStation> nearest =
+        topo.nearest_by_latency(key.home, weight, key.limit);
     it = lists_.emplace(key, std::move(nearest)).first;
+    if (std::find(limits_.begin(), limits_.end(), key.limit) ==
+        limits_.end()) {
+      limits_.push_back(key.limit);
+    }
   }
   const std::vector<CandidateStation>& list = it->second;
   const auto feasible_end = std::partition_point(
@@ -131,6 +96,20 @@ std::span<const CandidateStation> CandidateMemo::lookup(
         return waiting_ms + cand.latency_ms <= req.latency_budget_ms;
       });
   return {list.data(), static_cast<std::size_t>(feasible_end - list.begin())};
+}
+
+const double* CandidateMemo::latency_of(const mec::ARRequest& req,
+                                        int station) const {
+  const auto weight_bits =
+      std::bit_cast<std::uint64_t>(req.total_proc_weight());
+  for (const std::size_t limit : limits_) {
+    const auto it = lists_.find(Key{req.home_station, weight_bits, limit});
+    if (it == lists_.end()) continue;
+    for (const CandidateStation& cand : it->second) {
+      if (cand.station == station) return &cand.latency_ms;
+    }
+  }
+  return nullptr;
 }
 
 SlotLpInstance build_slot_lp(const mec::Topology& topo,

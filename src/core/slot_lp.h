@@ -32,10 +32,7 @@ namespace mecar::core {
 /// proved it feasible. Returning the latency alongside the station id lets
 /// callers (the LP builders, the rounding passes, every baseline) reuse it
 /// instead of recomputing placement_latency_ms per (request, station).
-struct CandidateStation {
-  int station = 0;
-  double latency_ms = 0.0;
-};
+using CandidateStation = mec::StationLatency;
 
 /// Metadata of one LP column y_jil (or ILP column x_ji with slot = 0).
 struct SlotVar {
@@ -97,9 +94,9 @@ SlotLpInstance build_ilp_rm(const mec::Topology& topo,
 /// Candidate stations for a request: the stations whose placement latency
 /// (plus `waiting_ms`) meets the budget, in (latency, id) order. When
 /// `params.max_candidate_stations` is positive only that many nearest are
-/// kept: an exact top-k chosen during one scan over the home station's
-/// delay row, so the cost is O(|BS| log k) rather than a sort of every
-/// feasible station. Throws std::out_of_range on a bad home station.
+/// kept. One bounded search from the home station
+/// (mec::Topology::nearest_by_latency), which reads no delay row. Throws
+/// std::out_of_range on a bad home station.
 std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,
@@ -111,7 +108,7 @@ std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
 /// weight, candidate limit), the limit nearest stations in (latency, id)
 /// order at zero wait with no budget filter. A lookup returns the prefix
 /// of that list whose entries pass `waiting_ms + latency <=
-/// latency_budget_ms`, the scan's own test.
+/// latency_budget_ms`, the search's own test.
 ///
 /// Exact: fl(w + x) is monotone in x, so for any finite wait and any
 /// budget the stations that pass form a prefix of the (latency, id) order
@@ -136,8 +133,17 @@ class CandidateMemo {
                                            const AlgorithmParams& params,
                                            double waiting_ms = 0.0);
 
+  /// The latency a list held for `req`'s (home station, weight) gives
+  /// `station`, whatever its limit: placement_latency_ms(topo, req,
+  /// station) with the same bits, for the topology the memo serves. Null
+  /// when no list holds the station. Computes nothing.
+  const double* latency_of(const mec::ARRequest& req, int station) const;
+
   /// Forgets every list.
-  void clear() noexcept { lists_.clear(); }
+  void clear() noexcept {
+    lists_.clear();
+    limits_.clear();
+  }
 
   /// Number of lists held.
   std::size_t size() const noexcept { return lists_.size(); }
@@ -153,6 +159,9 @@ class CandidateMemo {
     std::size_t operator()(const Key& key) const noexcept;
   };
   std::unordered_map<Key, std::vector<CandidateStation>, KeyHash> lists_;
+  /// Each limit a held list was computed for, once: latency_of looks the
+  /// request up under each (callers use one or two).
+  std::vector<std::size_t> limits_;
 };
 
 }  // namespace mecar::core

@@ -516,8 +516,12 @@ void Runner::Execution::sweep_seed(
        i < resolved_.size(); ++i) {
     const std::string& name = resolved_[i].name;
     if (!resolved_[i].online) {
-      done(i, offline_trial_metrics(*runner_.registry_, spec_, name,
-                                    *offline_inst, seed));
+      // Each offline unit reads its own copy: the delay rows one unit
+      // computes are not another's, so a resume at a unit boundary
+      // computes (and counts) exactly the rows the uninterrupted run did.
+      const Instance unit = *offline_inst;
+      done(i, offline_trial_metrics(*runner_.registry_, spec_, name, unit,
+                                    seed));
       continue;
     }
     sim::OnlineParams params;

@@ -271,6 +271,9 @@ ScenarioSpec read_scenario(std::istream& is) {
     } else if (key == "chaos") {
       want_args(1);
       spec.chaos_intensity = double_arg(0, "chaos intensity");
+      if (!std::isfinite(spec.chaos_intensity)) {
+        throw fail("chaos intensity is not finite: '" + args[0] + "'");
+      }
       if (spec.chaos_intensity < 0.0) throw fail("chaos intensity < 0");
     } else if (key == "fault_plan") {
       want_args(1);

@@ -138,35 +138,29 @@ double placement_latency_ms(const Topology& topo, const ARRequest& req,
 
 namespace {
 
-/// The scan behind min_placement_latency_ms, given the home station's
-/// delay row and the pipeline's total processing weight.
-double min_latency_scan(const Topology& topo, std::span<const double> delay,
-                        double weight, std::span<const char> station_up) {
-  const std::vector<BaseStation>& stations = topo.stations();
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t bs = 0; bs < stations.size(); ++bs) {
-    if (!station_up.empty() && station_up[bs] == 0) continue;
-    best = std::min(best, placement_latency_ms(delay[bs], weight,
-                                               stations[bs].proc_ms_per_unit));
-  }
-  return best;
+/// The smallest placement latency from `home` at `weight` among the
+/// stations `station_up` admits, or +infinity.
+double min_latency(const Topology& topo, int home, double weight,
+                   std::span<const char> station_up) {
+  KeepRule keep;
+  keep.station_up = station_up;
+  const std::vector<StationLatency> best =
+      topo.nearest_by_latency(home, weight, 1, keep);
+  return best.empty() ? std::numeric_limits<double>::infinity()
+                      : best.front().latency_ms;
 }
 
 }  // namespace
 
 double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
                                 std::span<const char> station_up) {
-  const std::span<const double> delay = topo.delays_from(req.home_station);
-  if (!station_up.empty() && station_up.size() != topo.stations().size()) {
-    throw std::invalid_argument(
-        "min_placement_latency_ms: station_up size mismatch");
-  }
-  return min_latency_scan(topo, delay, req.total_proc_weight(), station_up);
+  return min_latency(topo, req.home_station, req.total_proc_weight(),
+                     station_up);
 }
 
 std::vector<double> min_placement_latencies(
     const Topology& topo, std::span<const ARRequest> requests) {
-  // Keyed by the weight's bits, so a memo hit stands for a scan over
+  // Keyed by the weight's bits, so a memo hit stands for a search over
   // exactly the same inputs.
   using Key = std::pair<int, std::uint64_t>;
   struct KeyHash {
@@ -184,9 +178,7 @@ std::vector<double> min_placement_latencies(
     const Key key{req.home_station, std::bit_cast<std::uint64_t>(weight)};
     auto it = memo.find(key);
     if (it == memo.end()) {
-      it = memo.emplace(key, min_latency_scan(
-                                 topo, topo.delays_from(req.home_station),
-                                 weight, {}))
+      it = memo.emplace(key, min_latency(topo, req.home_station, weight, {}))
                .first;
     }
     latencies.push_back(it->second);

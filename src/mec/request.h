@@ -156,30 +156,23 @@ struct ARRequest {
 
 /// Transmission + processing latency (ms) of running all tasks of `req` in
 /// station `bs`: 2 * d_trans(home, bs) + sum_k d^pro (Eq. (2) without the
-/// waiting term). +infinity when the backhaul is disconnected.
+/// waiting term). +infinity when the backhaul is disconnected. Reads the
+/// home station's delay row.
 double placement_latency_ms(const Topology& topo, const ARRequest& req,
                             int bs);
 
-/// The expression behind placement_latency_ms, from its parts: the
-/// home-to-station transmission delay, the pipeline's total processing
-/// weight and the station's per-unit processing delay. Per-station scans
-/// that hoist the delay row and the weight out of their loop use it, so
-/// every latency they compute keeps the bits of placement_latency_ms.
-inline double placement_latency_ms(double trans_ms, double proc_weight,
-                                   double proc_ms_per_unit) noexcept {
-  return 2.0 * trans_ms + proc_weight * proc_ms_per_unit;
-}
-
 /// Smallest placement_latency_ms(topo, req, bs) over the stations whose
 /// `station_up` entry is nonzero (every station when `station_up` is
-/// empty); +infinity when none qualifies. Throws std::out_of_range on a bad
-/// home station and std::invalid_argument when a non-empty mask does not
-/// have one entry per station.
+/// empty); +infinity when none qualifies. One bounded search
+/// (Topology::nearest_by_latency with a limit of 1); no delay row is
+/// read. Throws std::out_of_range on a bad home station and
+/// std::invalid_argument when a non-empty mask does not have one entry per
+/// station.
 double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
                                 std::span<const char> station_up = {});
 
 /// min_placement_latency_ms(topo, requests[j]) for every request, over all
-/// stations. The scan runs once per distinct (home station,
+/// stations. The search runs once per distinct (home station,
 /// total_proc_weight()) pair and is reused for repeats, so each value keeps
 /// the bits of the single-request helper; generated workloads have at most
 /// three weights per home station. Throws std::out_of_range on a bad home

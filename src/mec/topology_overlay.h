@@ -1,16 +1,15 @@
 // Fault-epoch view over an immutable Topology.
 //
-// `Topology` precomputes all-pairs shortest transmission delays at
-// construction — exactly right for the fault-free case and exactly wrong
-// once backhaul links fail mid-horizon. TopologyOverlay bridges the two: it
-// owns a mutable *effective* copy of a base topology and rebuilds it
-// (re-running the Dijkstra sweep) only when the applied perturbation set
-// actually changes — a fault-epoch boundary. The effective topology is a
-// stable reference: callers bind `const Topology&` once and observe every
-// epoch through it, so all consumers of the `candidate_stations` /
-// `placement_latency_ms` interface (core/, baselines/, sim/) see capacity
-// brownouts, link outages, and link latency inflation uniformly, with no
-// interface change.
+// A `Topology` is immutable, and its delays are wrong once backhaul links
+// fail mid-horizon. TopologyOverlay bridges the two: it owns a mutable
+// *effective* copy of a base topology and rebuilds it (sorting each
+// station's links again; no delay row is computed) only when the applied
+// perturbation set actually changes — a fault-epoch boundary. The
+// effective topology is a stable reference: callers bind `const
+// Topology&` once and observe every epoch through it, so all consumers of
+// the `candidate_stations` / `placement_latency_ms` interface (core/,
+// baselines/, sim/) see capacity brownouts, link outages, and link latency
+// inflation uniformly, with no interface change.
 //
 // A removed link keeps its index — it is modelled as an infinite-delay edge
 // — so link ids stay valid across epochs for anything that cross-references

@@ -36,6 +36,11 @@ Metrics make_metrics() {
       "lp.pricing_mode",
       "pricing rule of the latest solve (0=dantzig 1=devex 2=steepest-edge)");
 
+  m.mec_delay_rows = reg.counter(
+      "mec.delay_rows",
+      "topology delay rows computed (full Dijkstra searches, each on a "
+      "row's first read)");
+
   m.bandit_arm_pulls =
       reg.counter("bandit.arm_pulls", "learner updates (arm feedback)");
   m.bandit_arm_eliminations = reg.counter(

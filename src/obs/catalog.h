@@ -27,6 +27,9 @@ struct Metrics {
   Histogram lp_eta_len;           // lp.eta_len
   Gauge lp_pricing_mode;          // lp.pricing_mode
 
+  // --- mec: network substrate ----------------------------------------
+  Counter mec_delay_rows;  // mec.delay_rows
+
   // --- bandit: learner dynamics ---------------------------------------
   Counter bandit_arm_pulls;         // bandit.arm_pulls
   Counter bandit_arm_eliminations;  // bandit.arm_eliminations

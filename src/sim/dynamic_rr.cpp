@@ -423,10 +423,7 @@ void DynamicRrPolicy::admit_new(const mec::Topology& topo,
         // the user can no longer reach (partition => infinite delay) are
         // skipped.
         for (int cand : topo.stations_by_distance(req.home_station)) {
-          if (!std::isfinite(
-                  topo.transmission_delay_ms(req.home_station, cand))) {
-            continue;
-          }
+          if (!topo.reachable(req.home_station, cand)) continue;
           if (admissible(cand, 0.0)) {
             bs = cand;
             break;

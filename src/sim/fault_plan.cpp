@@ -187,6 +187,10 @@ FaultPlan generate_chaos(const mec::Topology& topo, const ChaosParams& params,
   if (horizon_slots <= 0) {
     throw std::invalid_argument("generate_chaos: horizon_slots <= 0");
   }
+  if (!std::isfinite(params.intensity) ||
+      !std::isfinite(params.bursts_per_100_slots)) {
+    throw std::invalid_argument("generate_chaos: non-finite rate");
+  }
   if (params.intensity < 0.0 || params.bursts_per_100_slots < 0.0) {
     throw std::invalid_argument("generate_chaos: negative rate");
   }
@@ -194,13 +198,19 @@ FaultPlan generate_chaos(const mec::Topology& topo, const ChaosParams& params,
       params.burst_max_slots < params.burst_min_slots) {
     throw std::invalid_argument("generate_chaos: bad burst length range");
   }
-  FaultPlan plan;
   const double expected = params.intensity * params.bursts_per_100_slots *
                           horizon_slots / 100.0;
-  int bursts = static_cast<int>(std::floor(expected));
+  // More bursts than (slot, station) pairs cannot fault anything new; the
+  // bound also keeps the count a small integer before any draw.
+  if (!(expected <= static_cast<double>(horizon_slots) * topo.num_stations())) {
+    throw std::invalid_argument(
+        "generate_chaos: more expected bursts than slots x stations");
+  }
+  FaultPlan plan;
+  auto bursts = static_cast<long long>(std::floor(expected));
   if (rng.bernoulli(expected - std::floor(expected))) ++bursts;
 
-  for (int b = 0; b < bursts; ++b) {
+  for (long long b = 0; b < bursts; ++b) {
     const int from = static_cast<int>(
         rng.uniform_int(0, std::max(0, horizon_slots - 1)));
     const int len = static_cast<int>(rng.uniform_int(

@@ -200,6 +200,10 @@ struct ChaosParams {
 
 /// Samples a fault plan of correlated bursts over `horizon_slots`. All
 /// randomness comes from `rng`, so a seed fully determines the plan.
+/// Throws std::invalid_argument before any draw on a horizon that is not
+/// positive, a non-finite or negative `intensity` or
+/// `bursts_per_100_slots`, a bad burst length range, or an expected burst
+/// count above horizon_slots x topo.num_stations().
 FaultPlan generate_chaos(const mec::Topology& topo, const ChaosParams& params,
                          int horizon_slots, util::Rng& rng);
 

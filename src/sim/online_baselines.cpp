@@ -1,7 +1,6 @@
 #include "sim/online_baselines.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/slot_lp.h"
 
@@ -52,9 +51,7 @@ void activate_residents(const mec::Topology& topo, const SlotView& view,
     const double reserve = estimate(req);
     for (int bs : topo.stations_by_distance(req.home_station)) {
       if (!view.is_up(bs)) continue;
-      if (!std::isfinite(topo.transmission_delay_ms(req.home_station, bs))) {
-        continue;
-      }
+      if (!topo.reachable(req.home_station, bs)) continue;
       if (reserved.remaining_mhz(bs) < reserve) continue;
       reserved.occupy(bs, reserve);
       decision.active.push_back({j, bs});

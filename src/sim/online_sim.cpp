@@ -493,8 +493,8 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         const auto j = static_cast<std::size_t>(ji);
         RequestState& st = states[j];
         const bool station_down = up[static_cast<std::size_t>(st.station)] == 0;
-        const bool unreachable = !std::isfinite(active->transmission_delay_ms(
-            requests[j].home_station, st.station));
+        const bool unreachable =
+            !active->reachable(requests[j].home_station, st.station);
         if (!station_down && !unreachable) {
           served[kept++] = ji;
           continue;
@@ -620,8 +620,19 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
       }
       if (waiting_request) {
         const double wait_ms = (t - req.arrival_slot) * params_.slot_ms;
+        // A policy places from candidate lists, so the memo usually holds
+        // the station's latency (the same bits). A miss runs one search to
+        // the station and reads no cached row, so the run's work does not
+        // depend on what earlier runs left cached (a resume repeats it).
+        const double* listed = candidate_memo.latency_of(req, act.station);
         const double lat =
-            wait_ms + mec::placement_latency_ms(*active, req, act.station);
+            wait_ms +
+            (listed != nullptr
+                 ? *listed
+                 : mec::placement_latency_ms(
+                       active->delay_between(req.home_station, act.station),
+                       req.total_proc_weight(),
+                       active->station(act.station).proc_ms_per_unit));
         if (lat > req.latency_budget_ms) {
           om.sim_refused_over_budget.add();
           util::log_debug() << "policy " << policy.name()
@@ -645,8 +656,7 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
         st.latency_ms = lat;
       } else {
         // Displaced stream: the activation re-places it (progress kept).
-        if (chaos && !std::isfinite(active->transmission_delay_ms(
-                         req.home_station, act.station))) {
+        if (chaos && !active->reachable(req.home_station, act.station)) {
           om.sim_refused_partition.add();
           continue;
         }

@@ -122,7 +122,7 @@ struct SlotView {
   /// this slot.
   double waiting_ms(int request_index) const;
   /// core::candidate_stations(*topo, request, params, waiting_ms(request))
-  /// read through `candidate_memo`; a view without a memo scans afresh.
+  /// read through `candidate_memo`; a view without a memo searches afresh.
   /// The span stays valid until the next call on this view. Throws
   /// std::logic_error when `topo` is null.
   std::span<const core::CandidateStation> candidates(

@@ -24,23 +24,4 @@ class Timer {
   clock::time_point start_;
 };
 
-/// RAII accumulator: adds the scope's elapsed milliseconds into a caller
-/// total on destruction. Lets repeated regions build up one number without
-/// start/stop bookkeeping at every exit path:
-///
-///   double solve_ms = 0.0;
-///   for (...) { ScopedTimerMs t(solve_ms); solver.solve(model); }
-class ScopedTimerMs {
- public:
-  explicit ScopedTimerMs(double& total_ms) noexcept : total_ms_(total_ms) {}
-  ~ScopedTimerMs() { total_ms_ += timer_.elapsed_ms(); }
-
-  ScopedTimerMs(const ScopedTimerMs&) = delete;
-  ScopedTimerMs& operator=(const ScopedTimerMs&) = delete;
-
- private:
-  double& total_ms_;
-  Timer timer_;
-};
-
 }  // namespace mecar::util

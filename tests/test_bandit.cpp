@@ -1,6 +1,6 @@
 // Tests for the bandit subsystem: successive elimination (correct arm kept,
-// dominated arms pruned, sublinear regret), UCB1, epsilon-greedy, the
-// Lipschitz grid, and regret tracking.
+// dominated arms pruned, sublinear regret), UCB1, epsilon-greedy and the
+// Lipschitz grid.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 
 #include "bandit/epsilon_greedy.h"
 #include "bandit/lipschitz.h"
-#include "bandit/regret.h"
 #include "bandit/successive_elimination.h"
 #include "bandit/ucb1.h"
 #include "util/rng.h"
@@ -30,15 +29,19 @@ struct BernoulliEnv {
   }
 };
 
+/// Plays `rounds` rounds; when `regret` is given, entry t receives the
+/// cumulative regret against the best arm's mean after round t + 1.
 double run_policy(Bandit& policy, BernoulliEnv& env, int rounds,
-                  RegretTracker* tracker = nullptr) {
+                  std::vector<double>* regret = nullptr) {
   double total = 0.0;
+  double best_total = 0.0;
   for (int t = 0; t < rounds; ++t) {
     const int arm = policy.select_arm();
     const double reward = env.pull(arm);
     policy.update(arm, reward);
     total += reward;
-    if (tracker) tracker->record(reward, env.best());
+    best_total += env.best();
+    if (regret) regret->push_back(best_total - total);
   }
   return total;
 }
@@ -112,9 +115,8 @@ TEST(SuccessiveElimination, RegretIsSublinear) {
   for (unsigned seed = 1; seed <= 5; ++seed) {
     BernoulliEnv env{{0.3, 0.6, 0.9}, util::Rng(seed)};
     SuccessiveElimination se(3, 1.0);
-    RegretTracker tracker;
-    run_policy(se, env, 4000, &tracker);
-    const auto& traj = tracker.trajectory();
+    std::vector<double> traj;
+    run_policy(se, env, 4000, &traj);
     early_rate += traj[399] / 400.0;
     late_rate += traj[3999] / 4000.0;
   }
@@ -179,27 +181,6 @@ TEST(LipschitzGrid, DiscretizationErrorIsEtaEpsilon) {
 TEST(LipschitzGrid, Validates) {
   EXPECT_THROW(LipschitzGrid(0.0, 1.0, 0), std::invalid_argument);
   EXPECT_THROW(LipschitzGrid(2.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(RegretTracker, AccumulatesDifferences) {
-  RegretTracker tracker;
-  tracker.record(0.5, 1.0);
-  tracker.record(1.0, 1.0);
-  tracker.record(0.0, 1.0);
-  EXPECT_EQ(tracker.rounds(), 3);
-  EXPECT_DOUBLE_EQ(tracker.policy_total(), 1.5);
-  EXPECT_DOUBLE_EQ(tracker.best_fixed_total(), 3.0);
-  EXPECT_DOUBLE_EQ(tracker.cumulative_regret(), 1.5);
-  ASSERT_EQ(tracker.trajectory().size(), 3u);
-  EXPECT_DOUBLE_EQ(tracker.trajectory()[0], 0.5);
-  EXPECT_DOUBLE_EQ(tracker.trajectory()[1], 0.5);
-  EXPECT_DOUBLE_EQ(tracker.trajectory()[2], 1.5);
-}
-
-TEST(RegretTracker, NegativeRegretAllowed) {
-  RegretTracker tracker;
-  tracker.record(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(tracker.cumulative_regret(), -1.0);
 }
 
 // Property sweep: on random Bernoulli instances with a clear gap, SE ends

@@ -219,6 +219,43 @@ TEST(ChaosGenerator, SeedDeterminesPlanExactly) {
       << "intensity 2.0 over 400 slots sampled no events";
 }
 
+TEST(ChaosGenerator, RefusesUnboundedRatesBeforeAnyDraw) {
+  const mec::Topology topo = two_stations();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto refused = [&](double intensity, double bursts_per_100,
+                           int horizon) {
+    ChaosParams chaos;
+    chaos.intensity = intensity;
+    chaos.bursts_per_100_slots = bursts_per_100;
+    util::Rng rng(9);
+    const util::Rng untouched = rng;
+    bool threw = false;
+    try {
+      (void)generate_chaos(topo, chaos, horizon, rng);
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    if (threw) {
+      // Nothing was drawn: the stream continues as if never passed in.
+      util::Rng replay = untouched;
+      EXPECT_EQ(rng(), replay()) << intensity << " x " << bursts_per_100;
+    }
+    return threw;
+  };
+  EXPECT_TRUE(refused(kNan, 2.0, 20));
+  EXPECT_TRUE(refused(kInf, 2.0, 20));
+  EXPECT_TRUE(refused(0.5, kNan, 20));
+  EXPECT_TRUE(refused(0.5, kInf, 20));
+  EXPECT_TRUE(refused(0.5, -kInf, 20));
+  // 1e9 x 2 per 100 slots over 20 slots expects 4e8 bursts on 2 stations.
+  EXPECT_TRUE(refused(1e9, 2.0, 20));
+  EXPECT_TRUE(refused(1e200, 1e200, 20));  // the product overflows
+  // The bound itself: 2 stations x 20 slots = 40 expected bursts pass.
+  EXPECT_FALSE(refused(100.0, 2.0, 20));
+  EXPECT_TRUE(refused(100.0 + 1e-9, 2.0, 20));
+}
+
 // ---------------------------------------------------------------------------
 // Scenario file round-trip and parse diagnostics
 

@@ -21,6 +21,7 @@
 #include "mec/topology.h"
 #include "mec/trace.h"
 #include "mec/workload.h"
+#include "obs/catalog.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -262,19 +263,31 @@ TEST(Topology, AllPairsMatchReferenceOnHandBuiltGraphs) {
   EXPECT_EQ(graphs[3].transmission_delay_ms(0, 5), 0.3);
 }
 
-TEST(Topology, PooledAndInlineRowsAreByteEqual) {
+TEST(Topology, ConcurrentRowReadsAreByteEqual) {
   util::Rng rng(1);
   TopologyParams params;
   params.num_stations = 300;
-  ASSERT_GE(params.num_stations, Topology::kPooledRowsMinStations);
-  const Topology pooled = generate_topology(params, rng);
-  // Constructed inside a parallel region, every row runs inline.
-  std::optional<Topology> nested;
-  util::parallel_for(1, [&](std::size_t) {
-    nested.emplace(pooled.stations(), pooled.links());
+  const Topology serial = generate_topology(params, rng);
+  const Topology shared(serial.stations(), serial.links());
+  const auto n = static_cast<std::size_t>(shared.num_stations());
+  // Four workers read every row of one topology, each from its own
+  // starting row and in its own direction, so first reads race.
+  constexpr std::size_t kWorkers = 4;
+  std::vector<std::vector<double>> seen(kWorkers, std::vector<double>(n * n));
+  util::ThreadPool pool(static_cast<int>(kWorkers));
+  pool.parallel_for(kWorkers, [&](std::size_t w) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t from =
+          w % 2 == 0 ? (w * n / kWorkers + k) % n : n - 1 - (w * 37 + k) % n;
+      const auto row = shared.delays_from(static_cast<int>(from));
+      std::copy(row.begin(), row.end(), seen[w].begin() + from * n);
+    }
   });
-  ASSERT_TRUE(nested.has_value());
-  EXPECT_TRUE(same_bits(delay_table(pooled), delay_table(*nested)));
+  const std::vector<double> want = delay_table(serial);
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    EXPECT_TRUE(same_bits(seen[w], want)) << "worker " << w;
+  }
+  EXPECT_TRUE(same_bits(delay_table(shared), want));
 }
 
 TEST(Topology, ShortestPathsReproduceDelaysOnWaxmanTopologies) {
@@ -307,6 +320,300 @@ TEST(Topology, DelayTableHashIsPinned) {
   Fnv1a fnv;
   for (const double d : delay_table(topo)) fnv.add_double(d);
   EXPECT_EQ(fnv.hash, 0x0ee0b361c2c89e01ULL);
+}
+
+/// Delay rows computed so far in this process (0 with telemetry compiled
+/// out).
+double delay_rows_computed() {
+  (void)obs::metrics();  // registers mec.delay_rows
+  const obs::MetricsSnapshot snap = obs::registry().snapshot();
+  const obs::CounterSnapshot* rows = snap.find_counter("mec.delay_rows");
+  return rows == nullptr ? 0.0 : rows->value;
+}
+
+TEST(Topology, ReachabilityReadsLabelsUnlessSumsCanOverflow) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Topology> graphs{
+      // Cut (+inf) links: 0-1 only through 2; 3 only through a cut link.
+      hand_built({{0, 1, kInf}, {0, 2, 5.0}, {2, 1, 1.0}, {1, 3, kInf}}, 4),
+      // Two components.
+      hand_built({{0, 1, 1.0}, {2, 3, 2.0}, {3, 4, 0.5}}, 5),
+      // One component, with a zero-delay link.
+      hand_built({{0, 1, 0.0}, {1, 2, 2.0}}, 3),
+  };
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const Topology& topo = graphs[g];
+    const int n = topo.num_stations();
+    const double rows_before = delay_rows_computed();
+    std::vector<char> reach;
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) reach.push_back(topo.reachable(a, b));
+    }
+    const bool connected = topo.connected();
+    // The component labels answer; no row is computed.
+    EXPECT_EQ(delay_rows_computed(), rows_before) << "graph " << g;
+    bool all_finite = true;
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        const bool finite = std::isfinite(topo.transmission_delay_ms(a, b));
+        all_finite = all_finite && finite;
+        EXPECT_EQ(reach[static_cast<std::size_t>(a * n + b)] != 0, finite)
+            << "graph " << g << " " << a << "->" << b;
+      }
+    }
+    EXPECT_EQ(connected, all_finite) << "graph " << g;
+  }
+  EXPECT_THROW((void)graphs[0].reachable(0, 4), std::out_of_range);
+  EXPECT_THROW((void)graphs[0].reachable(-1, 0), std::out_of_range);
+
+  // One component whose 0 -> 2 path sums past DBL_MAX: the labels would
+  // call 0 and 2 connected, so reachability reads the row.
+  const Topology huge = hand_built({{0, 1, 1e308}, {1, 2, 1e308}}, 3);
+  EXPECT_TRUE(huge.reachable(0, 1));
+  EXPECT_TRUE(huge.reachable(2, 1));
+  EXPECT_FALSE(huge.reachable(0, 2));
+  EXPECT_FALSE(huge.reachable(2, 0));
+  EXPECT_FALSE(huge.connected());
+  EXPECT_THROW((void)huge.shortest_path_links(0, 2), std::runtime_error);
+  EXPECT_EQ(huge.shortest_path_links(0, 1), std::vector<int>{0});
+}
+
+/// Reference for Topology::nearest_by_latency: every station's latency
+/// from the home station's full delay row, filtered by `keep`, sorted by
+/// (latency, id) and truncated.
+std::vector<StationLatency> reference_nearest(const Topology& topo, int home,
+                                              double weight, std::size_t limit,
+                                              const KeepRule& keep) {
+  const std::span<const double> row = topo.delays_from(home);
+  std::vector<StationLatency> all;
+  for (int bs = 0; bs < topo.num_stations(); ++bs) {
+    const auto i = static_cast<std::size_t>(bs);
+    const double lat = placement_latency_ms(row[i], weight,
+                                            topo.station(bs).proc_ms_per_unit);
+    if ((keep.station_up.empty() || keep.station_up[i] != 0) &&
+        keep.waiting_ms + lat <= keep.budget_ms) {
+      all.push_back({bs, lat});
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const StationLatency& a, const StationLatency& b) {
+              if (a.latency_ms != b.latency_ms) {
+                return a.latency_ms < b.latency_ms;
+              }
+              return a.station < b.station;
+            });
+  if (all.size() > limit) all.resize(limit);
+  return all;
+}
+
+void expect_nearest_matches(const Topology& topo, int home, double weight,
+                            std::size_t limit, const KeepRule& keep,
+                            const std::string& where) {
+  const auto got = topo.nearest_by_latency(home, weight, limit, keep);
+  const auto want = reference_nearest(topo, home, weight, limit, keep);
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].station, want[k].station) << where << " rank " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].latency_ms),
+              std::bit_cast<std::uint64_t>(want[k].latency_ms))
+        << where << " rank " << k;
+  }
+}
+
+/// The limits the contract names, including none kept (0) and more than
+/// the station count.
+std::vector<std::size_t> search_limits(const Topology& topo) {
+  return {0, 1, 3, 10, static_cast<std::size_t>(topo.num_stations()) + 5};
+}
+
+/// Weights of every sign class: zero, negative zero, positive, negative,
+/// NaN and both infinities.
+std::vector<double> search_weights() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {0.0, -0.0, 0.7, 3.25, 11.0, -2.5,
+          std::numeric_limits<double>::quiet_NaN(), kInf, -kInf};
+}
+
+/// Every (home, weight, limit) of `topo` against the row scan, with the
+/// default keep rule and with a finite wait and budget. `home_stride`
+/// thins the homes of large topologies.
+void expect_search_matches_everywhere(const Topology& topo,
+                                      const std::string& name,
+                                      int home_stride = 1) {
+  std::vector<KeepRule> keeps(2);
+  keeps[1].waiting_ms = 7.5;
+  keeps[1].budget_ms = 40.0;
+  for (int home = 0; home < topo.num_stations(); home += home_stride) {
+    for (const double weight : search_weights()) {
+      for (const std::size_t limit : search_limits(topo)) {
+        for (std::size_t k = 0; k < keeps.size(); ++k) {
+          expect_nearest_matches(topo, home, weight, limit, keeps[k],
+                                 name + " home " + std::to_string(home) +
+                                     " weight " + std::to_string(weight) +
+                                     " limit " + std::to_string(limit) +
+                                     " keep " + std::to_string(k));
+        }
+      }
+    }
+  }
+}
+
+TEST(NearestByLatency, MatchesRowScansOnWaxmanTopologies) {
+  for (const int n : {1, 2, 5, 13, 50, 120, 300}) {
+    util::Rng rng(static_cast<std::uint64_t>(500 + n));
+    TopologyParams params;
+    params.num_stations = n;
+    expect_search_matches_everywhere(generate_topology(params, rng),
+                                     std::to_string(n) + " stations",
+                                     n > 50 ? 7 : 1);
+  }
+}
+
+TEST(NearestByLatency, MatchesRowScansOnThePerfbenchNetwork) {
+  // perfbench's online workloads all run on this network: 1000 Waxman
+  // stations drawn from seed 1.
+  util::Rng rng(1);
+  TopologyParams params;
+  params.num_stations = 1000;
+  const Topology topo = generate_topology(params, rng);
+  std::vector<double> weights;
+  for (const std::size_t tasks : {3u, 4u, 5u}) {
+    weights.push_back(ar_pipeline(tasks).total_proc_weight());
+  }
+  std::vector<std::vector<StationLatency>> lists;
+  const double rows_before = delay_rows_computed();
+  for (int home = 0; home < topo.num_stations(); home += 10) {
+    for (const double weight : weights) {
+      for (const std::size_t limit : {1u, 10u}) {
+        lists.push_back(topo.nearest_by_latency(home, weight, limit));
+      }
+    }
+  }
+  // The searches read no row.
+  EXPECT_EQ(delay_rows_computed(), rows_before);
+  std::size_t at = 0;
+  for (int home = 0; home < topo.num_stations(); home += 10) {
+    for (const double weight : weights) {
+      for (const std::size_t limit : {1u, 10u}) {
+        const auto want = reference_nearest(topo, home, weight, limit, {});
+        const auto& got = lists[at++];
+        ASSERT_EQ(got.size(), want.size()) << "home " << home;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          EXPECT_EQ(got[k].station, want[k].station) << "home " << home;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].latency_ms),
+                    std::bit_cast<std::uint64_t>(want[k].latency_ms))
+              << "home " << home;
+        }
+      }
+    }
+  }
+}
+
+TEST(NearestByLatency, MatchesRowScansOnHandBuiltGraphs) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // A star whose twelve spokes all cost 4 and whose leaves alternate
+  // between two speeds, with links listed in descending leaf id: from the
+  // hub, only ids order the ties, and the last settled tie must still
+  // displace a kept one.
+  std::vector<BaseStation> star_stations{{0, 3000.0, 1.0, 0.0, 0.0}};
+  std::vector<Link> star_links;
+  for (int i = 1; i <= 12; ++i) {
+    star_stations.push_back({i, 3000.0, i % 2 == 0 ? 1.0 : 1.5, 0.0, 0.0});
+  }
+  for (int i = 12; i >= 1; --i) star_links.push_back({0, i, 4.0});
+  // Stations 1 and 3 process for free (proc_ms_per_unit 0).
+  std::vector<BaseStation> free_stations;
+  for (int i = 0; i < 6; ++i) {
+    free_stations.push_back(
+        {i, 3000.0, i == 1 || i == 3 ? 0.0 : 0.5 + 0.5 * i, 0.0, 0.0});
+  }
+  const std::vector<Topology> graphs{
+      // Zero-delay links: 0 and 1 are one point of the network.
+      hand_built({{0, 1, 0.0}, {1, 2, 2.5}, {0, 2, 2.5}, {2, 3, 0.0}}, 4),
+      // Cut (+inf) links: 0-1 only through 2; 3 only through a cut link.
+      hand_built({{0, 1, kInf}, {0, 2, 5.0}, {2, 1, 1.0}, {1, 3, kInf}}, 4),
+      // Two components.
+      hand_built({{0, 1, 1.0}, {2, 3, 2.0}, {3, 4, 0.5}}, 5),
+      // Exact ties and a direct link that beats its two-hop detour.
+      hand_built({{0, 1, 1.0},
+                  {1, 3, 2.0},
+                  {0, 2, 2.0},
+                  {2, 3, 1.0},
+                  {3, 5, 10.0},
+                  {0, 4, 0.1},
+                  {4, 5, 0.2},
+                  {0, 5, 0.3}},
+                 6),
+      // Parallel links, the longer one first.
+      hand_built({{0, 1, 3.0}, {0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 2.5}}, 3),
+      // A two-hop path beats every direct link.
+      hand_built({{0, 1, 0.5}, {1, 2, 0.5}, {0, 2, 5.0}, {0, 3, 6.0},
+                  {2, 3, 0.5}},
+                 4),
+      Topology(std::move(star_stations), std::move(star_links)),
+      Topology(std::move(free_stations),
+               {{0, 1, 3.0}, {1, 2, 1.0}, {2, 3, 4.0}, {0, 4, 0.5},
+                {4, 5, 0.5}}),
+      // Delays near DBL_MAX: two hops overflow to +inf.
+      hand_built({{0, 1, 1e308}, {1, 2, 1e308}, {2, 3, 1.0}}, 4),
+  };
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    expect_search_matches_everywhere(graphs[g], "graph " + std::to_string(g));
+  }
+}
+
+TEST(NearestByLatency, UpMasksMatchTheMinimumScan) {
+  for (const int n : {1, 4, 30, 120}) {
+    util::Rng rng(static_cast<std::uint64_t>(900 + n));
+    TopologyParams params;
+    params.num_stations = n;
+    const Topology topo = generate_topology(params, rng);
+    const auto stations = static_cast<std::size_t>(n);
+    std::vector<std::vector<char>> masks{std::vector<char>(stations, 0),
+                                         std::vector<char>(stations, 1)};
+    for (int m = 0; m < 6; ++m) {
+      std::vector<char> mask(stations);
+      for (char& up : mask) up = rng.bernoulli(0.3 * (m % 3 + 1)) ? 1 : 0;
+      masks.push_back(std::move(mask));
+    }
+    for (int home = 0; home < n; home += n > 30 ? 11 : 1) {
+      for (const double weight : search_weights()) {
+        ARRequest req;
+        req.home_station = home;
+        req.tasks = {TaskSpec{"a", 64.0, weight}};
+        for (std::size_t m = 0; m < masks.size(); ++m) {
+          double want = std::numeric_limits<double>::infinity();
+          for (int bs = 0; bs < n; ++bs) {
+            if (masks[m][static_cast<std::size_t>(bs)] != 0) {
+              want = std::min(want, placement_latency_ms(topo, req, bs));
+            }
+          }
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                        min_placement_latency_ms(topo, req, masks[m])),
+                    std::bit_cast<std::uint64_t>(want))
+              << n << " stations, home " << home << " weight " << weight
+              << " mask " << m;
+          KeepRule keep;
+          keep.station_up = masks[m];
+          expect_nearest_matches(topo, home, weight, 1, keep,
+                                 std::to_string(n) + " stations, mask " +
+                                     std::to_string(m));
+        }
+      }
+    }
+  }
+}
+
+TEST(NearestByLatency, ValidatesItsInputs) {
+  const Topology topo = line_topology();
+  EXPECT_THROW((void)topo.nearest_by_latency(3, 1.0, 1), std::out_of_range);
+  EXPECT_THROW((void)topo.nearest_by_latency(-1, 1.0, 1), std::out_of_range);
+  const std::vector<char> short_mask(2, 1);
+  KeepRule keep;
+  keep.station_up = short_mask;
+  EXPECT_THROW((void)topo.nearest_by_latency(0, 1.0, 1, keep),
+               std::invalid_argument);
+  EXPECT_TRUE(topo.nearest_by_latency(0, 1.0, 0).empty());
 }
 
 class GeneratorSeeds : public ::testing::TestWithParam<unsigned> {};

@@ -142,6 +142,9 @@ TEST(Scenario, ParseErrorsCarryLineNumbers) {
   EXPECT_EQ(line_of("seeds notanumber\n"), 1);         // bad integer
   EXPECT_EQ(line_of("axis sideways\n"), 1);  // unknown axis token
   EXPECT_EQ(line_of("link_bandwidth 210\n"), 1);       // wrong arity
+  EXPECT_EQ(line_of("name x\nchaos nan\n"), 2);        // not finite
+  EXPECT_EQ(line_of("name x\nchaos inf\n"), 2);
+  EXPECT_EQ(line_of("name x\nchaos -inf\n"), 2);
   // End-of-file validation: chaos and a scripted plan are exclusive.
   std::istringstream both(
       "name x\naxis requests\npoints 10\npolicy Appro\nmetric reward\n"

@@ -557,6 +557,34 @@ TEST(OnlineSimulator, ScaleRunConservesRequestsAndTimesEverySlot) {
 #endif
 }
 
+TEST(OnlineSimulator, FaultFreeDynamicRrComputesNoDelayRow) {
+  // Set-up, candidate lists and the engine's budget checks all come from
+  // bounded searches and the run's candidate memo: a fault-free DynamicRR
+  // run computes no full delay row.
+  exp::InstanceConfig config;
+  config.num_stations = 200;
+  config.num_requests = 600;
+  config.horizon_slots = 60;
+  const exp::Instance inst = exp::make_instance(3u, config);
+  OnlineParams params;
+  params.horizon_slots = 400;
+  obs::registry().reset();
+  OnlineSimulator sim(inst.topo, inst.requests, inst.realized, params);
+  DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{}, DynamicRrParams{},
+                         util::Rng(3));
+  const OnlineMetrics m = sim.run(policy);
+  EXPECT_GT(m.completed, 0);
+#if MECAR_TELEMETRY_ENABLED
+  const obs::MetricsSnapshot snap = obs::registry().snapshot();
+  const obs::CounterSnapshot* rows = snap.find_counter("mec.delay_rows");
+  ASSERT_NE(rows, nullptr);
+  EXPECT_EQ(rows->value, 0.0);
+  const obs::CounterSnapshot* admissions = snap.find_counter("sim.admissions");
+  ASSERT_NE(admissions, nullptr);
+  EXPECT_GT(admissions->value, 0.0);
+#endif
+}
+
 TEST(DynamicRr, ThresholdStaysOnGrid) {
   const OnlineSetup setup = make_setup(11, 150);
   DynamicRrPolicy policy(setup.topo, core::AlgorithmParams{},

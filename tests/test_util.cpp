@@ -456,23 +456,6 @@ TEST(Timer, ElapsedIsMonotonicallyNonDecreasing) {
   EXPECT_GE(t.elapsed_seconds(), 0.0);
 }
 
-TEST(ScopedTimerMs, AccumulatesAcrossScopes) {
-  double total_ms = 0.0;
-  {
-    ScopedTimerMs scope(total_ms);
-    double sink = 0.0;
-    for (int i = 0; i < 10000; ++i) sink += std::sqrt(static_cast<double>(i));
-    (void)sink;
-  }
-  const double after_first = total_ms;
-  EXPECT_GE(after_first, 0.0);
-  {
-    ScopedTimerMs scope(total_ms);
-  }
-  // The second scope adds to the running total, never resets it.
-  EXPECT_GE(total_ms, after_first);
-}
-
 TEST(Percentile, MatchesQuantileBitForBit) {
   const std::vector<double> sorted{1.0, 2.0, 4.0, 8.0, 16.0};
   for (double pct : {0.0, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {

@@ -102,8 +102,13 @@ int cmd_resilience(const util::Cli& cli) {
     }
     plan = sim::read_fault_plan(file);
   } else {
-    plan = exp::chaos_plan(topo, cli.get_double_or("chaos", 0.5), horizon,
-                           seed);
+    const double intensity = cli.get_double_or("chaos", 0.5);
+    if (!std::isfinite(intensity)) {
+      std::cerr << "mecar_cli: --chaos must be a finite intensity, got '"
+                << cli.get("chaos").value_or("") << "'\n";
+      return 1;
+    }
+    plan = exp::chaos_plan(topo, intensity, horizon, seed);
   }
   plan.validate(topo);
   if (cli.has("emit-plan")) {
